@@ -9,17 +9,16 @@ from .quantity import (
     NonZeroRemainder,
     SemiIntegralForm,
     classify,
+    dimension,
     div_exact,
     euler,
     evaluate_at,
     render,
-    ring_arithmetic,
     semi_integral_minimal,
 )
 from .stability import (
     CellComplex,
     NormalForm,
-    dimension,
     rewrite_reachable,
     stable_normal_form,
 )

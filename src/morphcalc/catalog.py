@@ -10,6 +10,8 @@ families they cross-check.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -18,11 +20,10 @@ from .quantity import (
     MorphError,
     MorphPoly,
     NonZeroRemainder,
+    P,
+    R,
     div_exact,
 )
-
-R = MorphPoly.line()
-P = MorphPoly.halfline()
 
 
 class UnknownEntry(MorphError):
@@ -169,9 +170,6 @@ class EntrySpec:
     check: callable
     build: callable
 
-    def describe(self) -> str:
-        return f"{self.id}({self.arity})  valid for {self.validity}"
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -181,159 +179,160 @@ class CatalogEntry:
     citation: str
 
 
-def _fixed(k):
-    return lambda ps: len(ps) == k
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
+def _validity_check(arity: str, validity: str):
+    """The parameter check that an entry's validity text states.
+
+    The text is a comma-separated list of clauses over the names in `arity`:
+    comparison chains of names, integers and multiples such as `2k`, an
+    `even` prefix, a range `m in 3..6`, and a bare name that shares the next
+    clause's bound (`a, b >= 0`).  In the variadic arity `n,k1..ks` the chain
+    `k1 < .. < ks` runs through every parameter after the first.
+    """
+    names = arity.split(",")
+    variadic = names[-1] == "k1..ks"
+    index = {name: i for i, name in enumerate(names)}
+    if variadic:
+        index.update(k1=len(names) - 1, ks=-1)
+
+    def term(token):
+        coeff, name = re.fullmatch(r"(\d*)([a-z]\w*)?", token).groups()
+        if name is None:
+            return lambda ps: int(coeff)
+        i, c = index[name], int(coeff or 1)
+        return lambda ps: c * ps[i]
+
+    tests = []
+    clauses = validity.split(", ")
+    for clause, following in zip(clauses, clauses[1:] + [""]):
+        if clause in index:  # "a, b >= 0": a takes b's bound
+            clause += following[len(following.split()[0]):]
+        if clause.startswith("even "):
+            i = index[clause.split()[1]]
+            tests.append(lambda ps, i=i: ps[i] % 2 == 0)
+            clause = clause[len("even "):]
+        bounds = re.fullmatch(r"(\w+) in (\d+)\.\.(\d+)", clause)
+        if bounds:
+            clause = f"{bounds[2]} <= {bounds[1]} <= {bounds[3]}"
+        tokens = clause.split()
+        for left, op, right in zip(tokens[0::2], tokens[1::2], tokens[2::2]):
+            cmp = _COMPARE[op]
+            if right == "..":
+                tests.append(lambda ps, s=index[left], cmp=cmp: all(map(cmp, ps[s:], ps[s + 1:])))
+            elif left != "..":
+                tests.append(lambda ps, a=term(left), b=term(right), cmp=cmp: cmp(a(ps), b(ps)))
+
+    def check(ps) -> bool:
+        arity_ok = len(ps) >= len(names) if variadic else len(ps) == len(names)
+        return arity_ok and all(test(ps) for test in tests)
+
+    return check
 
 
 def _specs():
-    C = R ** 2
-    H = R ** 4
     rows = [
         ("S", "n", "n >= 0", "round sphere: two cells per dimension",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: sphere(ps[0])),
         ("SS", "n", "n >= 0", "stereographic sphere R^n + 1",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: poincare_sphere(ps[0])),
         ("RP", "n", "n >= 0", "real projective space",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: projective(ps[0], 1)),
         ("CP", "n", "n >= 0", "complex projective space",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: projective(ps[0], 2)),
         ("HP", "n", "n >= 0", "quaternionic projective space",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: projective(ps[0], 4)),
         ("RPh", "n", "even n >= 0", "phantom real projective space",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0 and ps[0] % 2 == 0,
          lambda ps: phantom(ps[0], 1)),
         ("CPh", "n", "even n >= 0", "phantom complex projective space",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0 and ps[0] % 2 == 0,
          lambda ps: phantom(ps[0], 2)),
         ("HPh", "n", "even n >= 0", "phantom quaternionic projective space",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0 and ps[0] % 2 == 0,
          lambda ps: phantom(ps[0], 4)),
         ("O", "n", "n >= 0", "orthogonal group as nested frame spheres",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: orthogonal(ps[0])),
         ("SO", "n", "n >= 1", "special orthogonal group",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 1,
          lambda ps: special_orthogonal(ps[0])),
         ("GL", "n", "n >= 0", "general linear group",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: general_linear(ps[0])),
         ("SL", "n", "n >= 1", "special linear group GL(n)/(R - 1)",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 1,
          lambda ps: div_exact(general_linear(ps[0]), R - 1)),
         ("SOpq", "p,q", "p >= 1, q >= 1", "pseudo-orthogonal group O(p)*SO(q)*R^(p*q)",
-         lambda ps: _fixed(2)(ps) and ps[0] >= 1 and ps[1] >= 1,
          lambda ps: orthogonal(ps[0]) * special_orthogonal(ps[1]) * R ** (ps[0] * ps[1])),
         ("U", "n", "n >= 0", "unitary group: odd spheres",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: unitary(ps[0])),
         ("SU", "n", "n >= 1", "special unitary group",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 1,
          lambda ps: special_unitary(ps[0])),
         ("Cstr", "n", "n >= 1", "complex structures SO(2n)/U(n): even spheres",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 1,
          lambda ps: _product(sphere(2 * j) for j in range(1, ps[0]))),
         ("Upq", "p,q", "p >= 1, q >= 1", "pseudo-unitary frames with flat factors",
-         lambda ps: _fixed(2)(ps) and ps[0] >= 1 and ps[1] >= 1,
          lambda ps: _product(sphere(2 * j - 1) * R ** (2 * ps[1]) for j in range(1, ps[0] + 1))
          * unitary(ps[1])),
         ("Sp", "n", "n >= 0", "compact symplectic group: quaternionic frames",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: symplectic(ps[0])),
         ("Spin", "m", "m in 3..6", "spin group via low-dimensional isomorphisms",
-         lambda ps: _fixed(1)(ps) and ps[0] in _SPIN,
          lambda ps: spin(ps[0])),
         ("SOspin", "m", "m in 3..6", "rotation group as Spin(m)/2",
-         lambda ps: _fixed(1)(ps) and ps[0] in _SPIN,
          lambda ps: div_exact(spin(ps[0]), MorphPoly.constant(2))),
         ("V", "n,k", "0 <= k <= n", "Stiefel manifold of orthonormal k-frames",
-         lambda ps: _fixed(2)(ps) and 0 <= ps[1] <= ps[0],
          lambda ps: stiefel(ps[0], ps[1])),
         ("VL", "n,k", "0 <= k <= n", "linearly independent k-frames",
-         lambda ps: _fixed(2)(ps) and 0 <= ps[1] <= ps[0],
          lambda ps: stiefel_linear(ps[0], ps[1])),
         ("G", "n,k", "0 <= k <= n", "real Grassmannian of k-planes",
-         lambda ps: _fixed(2)(ps) and 0 <= ps[1] <= ps[0],
          lambda ps: grassmannian(ps[0], ps[1], 1)),
         ("Gor", "n,k", "1 <= k <= n", "oriented Grassmannian",
-         lambda ps: _fixed(2)(ps) and 1 <= ps[1] <= ps[0],
          lambda ps: oriented_grassmannian(ps[0], ps[1])),
         ("Gc", "n,k", "0 <= k <= n", "complex Grassmannian",
-         lambda ps: _fixed(2)(ps) and 0 <= ps[1] <= ps[0],
          lambda ps: grassmannian(ps[0], ps[1], 2)),
         ("Gh", "n,k", "0 <= k <= n", "quaternionic Grassmannian",
-         lambda ps: _fixed(2)(ps) and 0 <= ps[1] <= ps[0],
          lambda ps: grassmannian(ps[0], ps[1], 4)),
         ("Flag", "n,k1..ks", "0 < k1 < .. < ks < n", "flag manifold as nested Grassmannians",
-         lambda ps: len(ps) >= 2
-         and all(ps[i] < ps[i + 1] for i in range(1, len(ps) - 1))
-         and 0 < ps[1] and ps[-1] < ps[0],
          lambda ps: _flag(ps[0], ps[1:])),
         ("NC", "n", "n >= 2", "nullcone 1 + S(n-1)*S(n-2)*Rp",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 2,
          lambda ps: 1 + sphere(ps[0] - 1) * sphere(ps[0] - 2) * P),
         ("CS", "m", "m >= 0", "complex sphere: sphere tangent bundle S(m)*R^m",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: sphere(ps[0]) * R ** ps[0]),
         ("CSbar", "m", "m >= 0", "compact complex sphere S(m+1)*S(m)/S(1)",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: compact_complex_sphere(ps[0])),
         ("CSS", "m", "m >= 0", "complex sphere, complex-coordinate count",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: conic_open(ps[0])),
         ("CSSbar", "m", "m >= 0", "compactified complex sphere, complex-coordinate count",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 0,
          lambda ps: conic_compactification(ps[0])),
         ("Spq", "a,b", "a, b >= 0", "projectivized nullcone S(a)*RP(b)",
-         lambda ps: _fixed(2)(ps) and ps[0] >= 0 and ps[1] >= 0,
          lambda ps: sphere(ps[0]) * projective(ps[1], 1)),
         ("Rbar", "p,q", "p >= q >= 0", "conformal compactification of flat signature space",
-         lambda ps: _fixed(2)(ps) and ps[0] >= ps[1] >= 0,
          lambda ps: conformal_compactification(ps[0], ps[1])),
         ("NG", "p,q,k", "p >= q >= k >= 1", "null Grassmannian G(p,k)*S(q-1)..S(q-k)",
-         lambda ps: _fixed(3)(ps) and ps[0] >= ps[1] >= ps[2] >= 1,
          lambda ps: grassmannian(ps[0], ps[2], 1)
          * _product(sphere(ps[1] - j) for j in range(1, ps[2] + 1))),
         ("NGs", "p,q,k", "p >= q >= k >= 1", "stereographic null Grassmannian",
-         lambda ps: _fixed(3)(ps) and ps[0] >= ps[1] >= ps[2] >= 1,
          lambda ps: grassmannian(ps[1], ps[2], 1)
          * _product(poincare_sphere(ps[0] - j) for j in range(1, ps[2] + 1))),
         ("NGn", "n,k", "n >= 2k >= 2", "null planes in complex n-space",
-         lambda ps: _fixed(2)(ps) and ps[1] >= 1 and ps[0] >= 2 * ps[1],
          lambda ps: div_exact(
              _product(sphere(ps[0] - j) for j in range(1, 2 * ps[1] + 1)),
              unitary(ps[1]))),
         ("NGns", "n,k", "n >= 2k >= 2", "stereographic null planes in complex n-space",
-         lambda ps: _fixed(2)(ps) and ps[1] >= 1 and ps[0] >= 2 * ps[1],
          lambda ps: div_exact(
              _product(conic_compactification(ps[0] - 2 * j) for j in range(1, ps[1] + 1)),
              _product(projective(i, 2) for i in range(1, ps[1])))),
         ("T", "p,q", "p, q >= 1", "twistor space S(2p-1)*CP(q-1)",
-         lambda ps: _fixed(2)(ps) and ps[0] >= 1 and ps[1] >= 1,
          lambda ps: sphere(2 * ps[0] - 1) * projective(ps[1] - 1, 2)),
         ("TT", "p,q", "p >= q >= 1", "stereographic twistor space",
-         lambda ps: _fixed(2)(ps) and ps[0] >= ps[1] >= 1,
          lambda ps: twistor_stereographic(ps[0], ps[1])),
         ("NGc", "p,q,k", "p >= q >= k >= 1", "null planes for the pseudo-hermitian form",
-         lambda ps: _fixed(3)(ps) and ps[0] >= ps[1] >= ps[2] >= 1,
          lambda ps: div_exact(
              _product(sphere(2 * ps[0] - 2 * j + 1) * sphere(2 * ps[1] - 2 * j + 1)
                       for j in range(1, ps[2] + 1)),
              unitary(ps[2]))),
         ("NGcs", "p,q,k", "p >= q >= k >= 1", "stereographic pseudo-hermitian null planes",
-         lambda ps: _fixed(3)(ps) and ps[0] >= ps[1] >= ps[2] >= 1,
          lambda ps: _product(poincare_sphere(2 * ps[0] - 2 * j + 1)
                              for j in range(1, ps[2] + 1))
          * grassmannian(ps[1], ps[2], 2)),
         ("LS", "p", "p >= 1", "Lie sphere S(p-1)*RP(1)",
-         lambda ps: _fixed(1)(ps) and ps[0] >= 1,
          lambda ps: sphere(ps[0] - 1) * projective(1, 1)),
     ]
-    return [EntrySpec(i, a, v, c, chk, bld) for i, a, v, c, chk, bld in rows]
+    return [EntrySpec(i, a, v, c, _validity_check(a, v), bld) for i, a, v, c, bld in rows]
 
 
 def _flag(n, ks):
@@ -345,10 +344,6 @@ def _flag(n, ks):
 
 
 _REGISTRY = {spec.id.lower(): spec for spec in _specs()}
-
-
-def registry() -> dict:
-    return dict(_REGISTRY)
 
 
 def registry_table():

@@ -17,7 +17,6 @@ from .catalog import (
     BadParams,
     InternalDivisionFailed,
     UnknownEntry,
-    catalog_entry,
     lookup,
     registry_table,
 )
@@ -30,6 +29,7 @@ from .quantity import (
     NotSemiIntegrable,
     ZeroQuantity,
     classify,
+    dimension,
     div_exact,
     euler,
     render,
@@ -123,7 +123,7 @@ def _cmd_euler(args, out):
 
 
 def _cmd_dim(args, out):
-    print(stability.dimension(_eval_source(args.expr)), file=out)
+    print(dimension(_eval_source(args.expr)), file=out)
     return 0
 
 

@@ -12,16 +12,12 @@ reported as failures with diagnostics.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
-from .quantity import MorphError, MorphPoly, render
+from .quantity import MorphError, MorphPoly, P, R, render
 from .lang import Expr, eval_expr, parse
 from .catalog import BadParams, poincare_sphere, projective, sphere
-
-P = MorphPoly.halfline()
-R = MorphPoly.line()
 
 
 class FormatError(MorphError):
@@ -114,14 +110,20 @@ class VerifyReport:
 
 
 def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
+    if isinstance(source, (bytes, str)):
+        data = source
+    elif hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    return source.read_text(encoding="utf-8")  # pathlib.Path
+    else:
+        data = source.read_bytes()  # pathlib.Path
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as load_corpus does; "?" stands in for the bad byte
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise FormatError(f"not valid UTF-8 (byte {data[exc.start]:#04x})", line_no) from None
 
 
 def load_corpus(source) -> list:

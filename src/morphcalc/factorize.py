@@ -22,21 +22,18 @@ from .quantity import (
     MorphError,
     MorphPoly,
     NonZeroRemainder,
+    R,
     classify,
     div_exact,
     render,
 )
 from .catalog import (
     BadParams,
-    gaussian_binomial,
     grassmannian,
     phantom,
     poincare_sphere,
     projective,
-    sphere,
 )
-
-R = MorphPoly.line()
 
 
 class NotIntegerType(MorphError):
@@ -57,6 +54,7 @@ def grassmann_divide(field: str, n: int, k: int) -> MorphPoly:
 
 @dataclass(frozen=True)
 class Factor:
+    family: str  # R, SS, RP, CP, HP, hopf or Ph
     name: str  # catalog id, or None for a raw polynomial factor
     params: tuple
     poly: MorphPoly
@@ -107,16 +105,16 @@ _FAMILY_RANK = {"SS": 0, "RP": 1, "CP": 2, "HP": 3, "hopf": 4, "Ph": 5}
 
 
 def _dictionary(max_degree: int):
-    """Candidate factors of degree <= max_degree, best tried first."""
+    """Candidate factors (family, name, params, poly) of degree <= max_degree, best tried first."""
     out = []
     for k in range(2, max_degree + 1):
-        out.append(("SS", (k,), poincare_sphere(k)))
+        out.append(("SS", "SS", (k,), poincare_sphere(k)))
     for m in range(1, max_degree // 2 + 1):
-        out.append(("RP", (2 * m,), projective(2 * m, 1)))
+        out.append(("RP", "RP", (2 * m,), projective(2 * m, 1)))
     for k in range(2, max_degree // 2 + 1):
-        out.append(("CP", (k,), projective(k, 2)))
+        out.append(("CP", "CP", (k,), projective(k, 2)))
     for k in range(2, max_degree // 4 + 1):
-        out.append(("HP", (k,), projective(k, 4)))
+        out.append(("HP", "HP", (k,), projective(k, 4)))
     for k in range(3, max_degree + 1):
         if k == 4:
             continue  # coincides with the quaternionic projective family
@@ -124,26 +122,12 @@ def _dictionary(max_degree: int):
         while s * k <= max_degree:
             if _is_prime(s + 1):
                 middle = MorphPoly.from_r_coeffs({i * k: 1 for i in range(s + 1)})
-                out.append((None, (s, k), middle))
+                out.append(("hopf", None, (s, k), middle))
             s += 1
     for m in range(1, max_degree // 2 + 1):
         name = {1: "RPh", 2: "CPh", 4: "HPh"}.get(m)
-        out.append((name, (2,) if name else (m,), phantom(2, m)))
-    def rank(item):
-        name, _, poly = item
-        family = name if name in ("SS", "RP", "CP", "HP") else (
-            "Ph" if name in ("RPh", "CPh", "HPh") or (name is None and len(poly.p_coeffs()) > 0 and _looks_phantom(poly)) else "hopf"
-        )
-        return (-poly.degree(), _FAMILY_RANK[family])
-    return sorted(out, key=rank)
-
-
-def _looks_phantom(poly: MorphPoly) -> bool:
-    rc = poly.r_coeffs()
-    if len(rc) != 3:
-        return False
-    d = max(rc)
-    return d % 2 == 0 and rc.get(d) == 1 and rc.get(d // 2) == -1 and rc.get(0) == 1
+        out.append(("Ph", name, (2,) if name else (m,), phantom(2, m)))
+    return sorted(out, key=lambda c: (-c[3].degree(), _FAMILY_RANK[c[0]]))
 
 
 def _divides(q: MorphPoly, d: MorphPoly):
@@ -158,7 +142,7 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
     if not classify(q).integer_type:
         raise NotIntegerType(f"{render(q, 'r')} is not of integer type")
 
-    found = []  # (name, params, poly) with repetition
+    found = []  # (family, name, params, poly) with repetition
 
     # powers of R first: strip the lowest R-exponent
     current = q
@@ -166,18 +150,19 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
     low = min(rc)
     for _ in range(low):
         current = div_exact(current, R)
-        found.append((None, (), R))
+        found.append(("R", None, (), R))
 
     candidates = _dictionary(current.degree()) if not current.is_zero() else []
     progress = True
     while progress and current.degree() > 0:
         progress = False
-        for name, params, poly in candidates:
+        for candidate in candidates:
+            poly = candidate[3]
             if poly.degree() > current.degree():
                 continue
             quotient = _divides(current, poly)
             if quotient is not None:
-                found.append((name, params, poly))
+                found.append(candidate)
                 current = quotient
                 progress = True
                 break
@@ -195,31 +180,26 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
     # each spare (R + 1) merges with the smallest CP into an odd RP
     merged = []
     cps = sorted(
-        (f for f in found if f[0] == "CP"), key=lambda f: f[1][0]
+        (f for f in found if f[0] == "CP"), key=lambda f: f[2][0]
     )
     for f in found:
         if f[0] == "CP" and spare and cps and f is cps[0]:
-            m = f[1][0]
-            merged.append(("RP", (2 * m + 1,), projective(2 * m + 1, 1)))
+            m = f[2][0]
+            merged.append(("RP", "RP", (2 * m + 1,), projective(2 * m + 1, 1)))
             spare -= 1
             cps.pop(0)
         else:
             merged.append(f)
     for _ in range(spare):
-        merged.append(("RP", (1,), rp1))
+        merged.append(("RP", "RP", (1,), rp1))
 
     # collate multiplicities, preserving first-seen order
-    order = []
     counts = {}
-    for name, params, poly in merged:
-        key = (name, params, poly)
-        if key not in counts:
-            order.append(key)
-            counts[key] = 0
-        counts[key] += 1
+    for key in merged:
+        counts[key] = counts.get(key, 0) + 1
     factors = tuple(
-        Factor(name=name, params=params, poly=poly, multiplicity=counts[(name, params, poly)])
-        for name, params, poly in order
+        Factor(family, name, params, poly, multiplicity)
+        for (family, name, params, poly), multiplicity in counts.items()
     )
     return FactorizationResult(factors=factors, residual=current)
 
@@ -227,35 +207,23 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
 # -- periodicity of the real Grassmann factorizations ----------------------
 
 
-def _shape_token(poly: MorphPoly, n: int):
+def _shape_token(factor: Factor, n: int):
     """Coarse shape class of a factor, with degree offset where it is stable.
 
     Suspension-type factors (R^k + 1 for k >= 3 and the middle factors of the
     repeated-suspension identities) are dressing that accumulates with n, so
     they are dropped from the signature.
     """
-    rc = poly.r_coeffs()
-    deg = poly.degree() if not poly.is_zero() else 0
-    if poly == R:
-        return ("R", deg - n)
-    for m in range(1, deg + 1):
-        if poly == projective(m, 2):
-            return ("CP", deg - n)
-    for m in range(1, deg // 4 + 1):
-        if poly == projective(m, 4):
-            return ("HP", deg - n)
-    for m in range(1, deg + 1):
-        if poly == projective(m, 1):
-            return ("RPe" if m % 2 == 0 else "RPo", deg - n)
-    if _looks_phantom(poly):
+    token = factor.family
+    if token == "SS":
+        token = {2: "CP", 4: "HP"}.get(factor.params[0])  # R^2 + 1 = CP(1), R^4 + 1 = HP(1)
+    elif token == "RP":
+        token = "RPo" if factor.params[0] % 2 else "RPe"
+    if token in (None, "hopf"):
+        return None
+    if token == "Ph":
         return ("Ph",)
-    # suspension-type: every R-exponent a multiple of some k >= 3, coefficients 1
-    exps = sorted(rc)
-    if all(c == 1 for c in rc.values()) and len(exps) >= 2:
-        step = exps[1] - exps[0]
-        if step >= 3 and exps == list(range(0, deg + 1, step)):
-            return None
-    return ("other", deg - n)
+    return (token, factor.poly.degree() - n)
 
 
 @dataclass(frozen=True)
@@ -290,7 +258,7 @@ class PeriodicityReport:
 def _signature(result: FactorizationResult, n: int):
     tokens = []
     for f in result.factors:
-        token = _shape_token(f.poly, n)
+        token = _shape_token(f, n)
         if token is not None:
             tokens.extend([token] * f.multiplicity)
     if result.residual != 1:

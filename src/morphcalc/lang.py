@@ -228,7 +228,12 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        at = parser.tokens[min(parser.index, len(parser.tokens) - 1)][2]
+        raise ExprSyntaxError("expression nested too deeply", at) from None
 
 
 def print_expr(e: Expr) -> str:
@@ -266,6 +271,13 @@ def eval_expr(e: Expr) -> MorphPoly:
     sub-expression of the original source.
     """
     try:
+        return _eval(e)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", e.span[0] if e.span else 0) from None
+
+
+def _eval(e: Expr) -> MorphPoly:
+    try:
         if isinstance(e, Nat):
             return MorphPoly.constant(e.value)
         if isinstance(e, SymR):
@@ -283,21 +295,21 @@ def eval_expr(e: Expr) -> MorphPoly:
         if isinstance(e, Add):
             total = MorphPoly.zero()
             for item in e.items:
-                total = total + eval_expr(item)
+                total = total + _eval(item)
             return total
         if isinstance(e, Sub):
-            return eval_expr(e.left) - eval_expr(e.right)
+            return _eval(e.left) - _eval(e.right)
         if isinstance(e, Mul):
             total = MorphPoly.constant(1)
             for item in e.items:
-                total = total * eval_expr(item)
+                total = total * _eval(item)
             return total
         if isinstance(e, Div):
-            return div_exact(eval_expr(e.num), eval_expr(e.den))
+            return div_exact(_eval(e.num), _eval(e.den))
         if isinstance(e, Pow):
-            return eval_expr(e.base) ** e.exponent
+            return _eval(e.base) ** e.exponent
         if isinstance(e, Bracket):
-            return eval_expr(e.child)
+            return _eval(e.child)
     except MorphError as exc:
         if getattr(exc, "span", None) is None:
             exc.span = e.span

@@ -53,26 +53,6 @@ def _fmt_frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fmt_poly_dict(coeffs, var) -> str:
-    # diagnostic-only formatter; tolerates non-dyadic fractions
-    if not coeffs:
-        return "0"
-    out = []
-    for exp in sorted(coeffs, reverse=True):
-        c = coeffs[exp]
-        mag = _fmt_frac(abs(c))
-        if exp == 0:
-            body = mag
-        else:
-            sym = var if exp == 1 else f"{var}^{exp}"
-            body = sym if abs(c) == 1 else f"{mag}*{sym}"
-        if not out:
-            out.append(body if c > 0 else f"0 - {body}")
-        else:
-            out.append(f"{' + ' if c > 0 else ' - '}{body}")
-    return "".join(out)
-
-
 class MorphPoly:
     """A quantity: exact polynomial over the halfline symbol Rp (R = 2*Rp + 1)."""
 
@@ -228,7 +208,11 @@ class MorphPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._coeffs.items())))
+            coeffs = self._coeffs
+            if coeffs.keys() <= {0}:  # a constant equals its value, so hashes as it
+                self._hash = hash(coeffs.get(0, 0))
+            else:
+                self._hash = hash(tuple(sorted(coeffs.items())))
         return self._hash
 
     def __bool__(self):
@@ -243,21 +227,6 @@ class MorphPoly:
 
 R = MorphPoly.line()
 P = MorphPoly.halfline()
-ONE = MorphPoly.constant(1)
-
-
-def ring_arithmetic(a: MorphPoly, b: MorphPoly, op: str) -> MorphPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown ring operation {op!r}")
-
-
-def poly_pow(a: MorphPoly, n: int) -> MorphPoly:
-    return a ** n
 
 
 def _divmod_dicts(num, den):
@@ -294,7 +263,7 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
     quo, rem = _divmod_dicts(num._coeffs, den._coeffs)
     if rem:
         raise NonZeroRemainder(
-            f"non-zero remainder {_fmt_poly_dict(rem, 'Rp')}",
+            f"non-zero remainder {_render_powers(rem, 'Rp')}",
             remainder=rem,
         )
     if not all(is_dyadic(c) for c in quo.values()):
@@ -321,6 +290,8 @@ def euler(q: MorphPoly):
 
 
 def dimension(q: MorphPoly) -> int:
+    if q.is_zero():
+        raise ZeroQuantity("the zero quantity has no dimension")
     return q.degree()
 
 
@@ -527,6 +498,11 @@ def _render_terms(parts) -> str:
     return "".join(out)
 
 
+def _render_powers(coeffs, var) -> str:
+    # coeffs: exponent -> coefficient, rendered by descending powers of var
+    return _render_terms([(coeffs[e], [(var, e)]) for e in sorted(coeffs, reverse=True)])
+
+
 def render(q: MorphPoly, basis: str = "r") -> str:
     """Deterministic text form of a quantity in the chosen basis.
 
@@ -539,15 +515,9 @@ def render(q: MorphPoly, basis: str = "r") -> str:
     if q.is_zero():
         return "0"
     if basis == "p":
-        coeffs = q.p_coeffs()
-        return _render_terms(
-            [(coeffs[e], [("Rp", e)]) for e in sorted(coeffs, reverse=True)]
-        )
+        return _render_powers(q.p_coeffs(), "Rp")
     if basis == "r":
-        coeffs = q.r_coeffs()
-        return _render_terms(
-            [(coeffs[e], [("R", e)]) for e in sorted(coeffs, reverse=True)]
-        )
+        return _render_powers(q.r_coeffs(), "R")
     try:
         form = semi_integral_minimal(q)
     except NotSemiIntegrable as exc:

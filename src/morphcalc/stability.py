@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .quantity import (
+from .quantity import (  # noqa: F401  (dimension is re-exported)
     MorphError,
     MorphPoly,
-    ZeroQuantity,
     classify,
+    dimension,
     euler,
 )
 
@@ -28,19 +28,6 @@ class InvalidComplex(MorphError):
 
 class BoundExceeded(MorphError):
     """The search hit its step bound with the frontier still open."""
-
-
-def dimension(q) -> int:
-    q = _as_poly(q)
-    if q.is_zero():
-        raise ZeroQuantity("the zero quantity has no dimension")
-    return q.degree()
-
-
-def _as_poly(q) -> MorphPoly:
-    if isinstance(q, CellComplex):
-        return q.quantity()
-    return q
 
 
 class CellComplex:

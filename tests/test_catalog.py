@@ -7,6 +7,7 @@ from morphcalc.catalog import (
     catalog_quantity,
     gaussian_binomial,
     hopf_family,
+    lookup,
     registry_table,
     schubert_cells,
     sphere,
@@ -85,6 +86,42 @@ def test_unknown_and_bad_params():
         catalog_quantity("flag", [4, 2, 2])
     with pytest.raises(BadParams):
         catalog_quantity("rbar", [1, 2])
+
+
+# one row per validity phrase: (phrase, entry, accepted, rejected) at the boundary
+VALIDITY_BOUNDARIES = [
+    ("n >= 0", "S", (0,), (-1,)),
+    ("even n >= 0", "RPh", (0,), (-2,)),
+    ("n >= 1", "SO", (1,), (0,)),
+    ("p >= 1, q >= 1", "SOpq", (1, 1), (1, 0)),
+    ("m in 3..6", "Spin", (3,), (2,)),
+    ("0 <= k <= n", "G", (3, 0), (3, -1)),
+    ("1 <= k <= n", "Gor", (2, 1), (2, 0)),
+    ("0 < k1 < .. < ks < n", "Flag", (5, 1, 3), (5, 3, 1)),
+    ("n >= 2", "NC", (2,), (1,)),
+    ("m >= 0", "CS", (0,), (-1,)),
+    ("a, b >= 0", "Spq", (0, 0), (-1, 0)),
+    ("p >= q >= 0", "Rbar", (2, 2), (2, 3)),
+    ("p >= q >= k >= 1", "NG", (3, 2, 2), (3, 2, 3)),
+    ("n >= 2k >= 2", "NGn", (4, 2), (3, 2)),
+    ("p, q >= 1", "T", (1, 1), (0, 1)),
+    ("p >= q >= 1", "TT", (1, 1), (1, 2)),
+    ("p >= 1", "LS", (1,), (0,)),
+]
+
+
+@pytest.mark.parametrize("phrase,entry_id,accepted,rejected", VALIDITY_BOUNDARIES)
+def test_validity_text_is_the_check(phrase, entry_id, accepted, rejected):
+    spec = lookup(entry_id)
+    assert spec.validity == phrase
+    assert catalog_entry(entry_id, accepted).params == accepted
+    with pytest.raises(BadParams) as info:
+        catalog_entry(entry_id, rejected)
+    assert str(info.value) == f"{entry_id}({spec.arity}) needs {phrase}; got {list(rejected)}"
+
+
+def test_validity_boundaries_cover_every_phrase():
+    assert {row[0] for row in VALIDITY_BOUNDARIES} == {row[2] for row in registry_table()}
 
 
 def test_registry_table_covers_every_entry():

@@ -176,6 +176,14 @@ def test_cli_exit_codes():
     assert _run(["eval", "R - 2", "--form", "mixed"])[0] == 4
 
 
+def test_cli_deep_expressions_are_usage_errors(capsys):
+    for expr in ["(" * 3000 + "R" + ")" * 3000, "R" + "-0" * 3000, "R" + "/1" * 3000]:
+        assert _run(["eval", expr])[0] == 2
+        assert "expression nested too deeply" in capsys.readouterr().err
+    with pytest.raises(FormatError):
+        load_corpus("deep ; " + "(" * 3000 + "R" + ")" * 3000 + " ; == ; R ; nesting\n")
+
+
 def test_cli_divide():
     code, text = _run(["divide", "S(5)*S(4)*S(3)", "S(2)*S(1)*S(0)"])
     assert code == 0
@@ -251,6 +259,15 @@ def test_cli_verify_detects_perturbation(tmp_path):
 
 def test_cli_verify_missing_file():
     assert _run(["verify", "/nonexistent/corpus.morph"])[0] == 2
+
+
+def test_cli_verify_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.morph"
+    path.write_bytes(b"x ; 1 ; == ; 1 ; one\ny ; 1 ; == ; 1 ; caf\xe9\n")
+    assert _run(["verify", str(path)])[0] == 2
+    assert capsys.readouterr().err == "error: line 2: not valid UTF-8 (byte 0xe9)\n"
+    with pytest.raises(FormatError, match="line 1: "):
+        load_corpus(b"\xff ; 1 ; == ; 1 ; c\n")
 
 
 def test_cli_output_determinism():

@@ -15,7 +15,6 @@ from morphcalc.quantity import (
     euler,
     evaluate_at,
     render,
-    ring_arithmetic,
     semi_integral_minimal,
 )
 from morphcalc.lang import eval_expr, parse
@@ -50,8 +49,16 @@ int_r_poly = st.builds(
 # -- ring arithmetic -------------------------------------------------------
 
 def test_add_flattening():
-    assert ring_arithmetic(R, 1 + R, "add") == 2 * R + 1
+    assert R + (1 + R) == 2 * R + 1
     assert render(2 * R + 1, "p") == "4*Rp + 3"
+
+
+def test_constants_hash_as_their_value():
+    for value in (0, 1, -3, Fraction(1, 2)):
+        q = MorphPoly.constant(value)
+        assert q == value and hash(q) == hash(value)
+    assert len({MorphPoly.constant(1), 1}) == 1
+    assert len({MorphPoly.constant(Fraction(1, 2)), Fraction(1, 2)}) == 1
 
 
 def test_halfline_square():
