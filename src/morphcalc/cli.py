@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import corpus as corpus_mod
 from . import factorize
@@ -61,6 +62,7 @@ def _print_classification(q: MorphPoly, out):
     print(" ".join(f"{name}={'yes' if v else 'no'}" for name, v in flags), file=out)
 
 
+@cache  # parse_args returns a fresh namespace, so one parser serves every call
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="morphcalc",

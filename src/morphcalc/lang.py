@@ -237,6 +237,13 @@ def parse(source: str) -> Expr:
 
 
 def print_expr(e: Expr) -> str:
+    try:
+        return _print(e)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", e.span[0] if e.span else 0) from None
+
+
+def _print(e: Expr) -> str:
     if isinstance(e, Nat):
         return str(e.value)
     if isinstance(e, SymR):
@@ -250,17 +257,17 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, CatalogCall):
         return f"{e.id}({','.join(str(p) for p in e.params)})"
     if isinstance(e, Add):
-        return " + ".join(print_expr(x) for x in e.items)
+        return " + ".join(_print(x) for x in e.items)
     if isinstance(e, Sub):
-        return f"{print_expr(e.left)} - {print_expr(e.right)}"
+        return f"{_print(e.left)} - {_print(e.right)}"
     if isinstance(e, Mul):
-        return "*".join(print_expr(x) for x in e.items)
+        return "*".join(_print(x) for x in e.items)
     if isinstance(e, Div):
-        return f"{print_expr(e.num)}/{print_expr(e.den)}"
+        return f"{_print(e.num)}/{_print(e.den)}"
     if isinstance(e, Pow):
-        return f"{print_expr(e.base)}^{e.exponent}"
+        return f"{_print(e.base)}^{e.exponent}"
     if isinstance(e, Bracket):
-        return f"({print_expr(e.child)})"
+        return f"({_print(e.child)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -1,17 +1,24 @@
 """Exact arithmetic for quantity polynomials in the line R and the halfline Rp.
 
 A quantity is a polynomial with rational coefficients whose denominators are
-powers of two.  The canonical internal form is the pure halfline basis: a
-sparse map from Rp-exponents to coefficients, using the substitution
-R = 2*Rp + 1.  Integer polynomials in R embed into integer polynomials in Rp,
-so equality, classification and rendering are all decided on this one form.
+powers of two, that is a polynomial over Z[1/2].  The canonical internal form
+is the pure halfline basis, using the substitution R = 2*Rp + 1: a dense tuple
+of Python ints c and one shift s, meaning sum(c[i] * Rp^i) / 2^s.  The tuple
+has no trailing zeros, and some c[i] is odd whenever s > 0, so each quantity
+has exactly one such form and its denominators are powers of two by
+construction.  Multiplication is integer convolution, the change to the R
+basis is an integer Taylor shift, and division is long division over Z.
+Integer polynomials in R embed into integer polynomials in Rp, so equality,
+classification and rendering are all decided on this one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, gcd
+from operator import add, or_, sub
 
 
 class MorphError(Exception):
@@ -42,35 +49,67 @@ class ZeroQuantity(MorphError):
     pass
 
 
-def is_dyadic(value: Fraction) -> bool:
-    den = value.denominator
-    return den & (den - 1) == 0
-
-
 def _fmt_frac(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-class MorphPoly:
-    """A quantity: exact polynomial over the halfline symbol Rp (R = 2*Rp + 1)."""
+def _dyadic_ints(coeffs):
+    """Dense ints and shift of an exponent -> coefficient map over Z[1/2]."""
+    terms = {}
+    shift = 0
+    for exp, raw in dict(coeffs or {}).items():
+        exp = int(exp)
+        if exp < 0:
+            raise ValueError("negative exponent in quantity polynomial")
+        c = Fraction(raw)
+        if c == 0:
+            continue
+        den = c.denominator
+        if den & (den - 1):
+            raise ValueError(f"coefficient {c} has a non power-of-two denominator")
+        terms[exp] = c
+        shift = max(shift, den.bit_length() - 1)
+    ints = [0] * (max(terms, default=-1) + 1)
+    for exp, c in terms.items():
+        ints[exp] = c.numerator << (shift + 1 - c.denominator.bit_length())
+    return ints, shift
 
-    __slots__ = ("_coeffs", "_hash")
+
+def _normalised(ints, shift) -> "MorphPoly":
+    """The quantity sum(ints[i] * Rp^i) / 2^shift in normal form."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    ints = ints[:n]
+    if not ints:
+        shift = 0
+    elif shift:
+        low = reduce(or_, ints)
+        k = min(shift, (low & -low).bit_length() - 1)
+        if k:
+            ints = [c >> k for c in ints]
+            shift -= k
+    q = MorphPoly.__new__(MorphPoly)
+    q._ints = tuple(ints)
+    q._shift = shift
+    q._hash = None
+    return q
+
+
+class MorphPoly:
+    """A quantity: exact polynomial over the halfline symbol Rp (R = 2*Rp + 1).
+
+    Stored as ints c and a shift s meaning sum(c[i] * Rp^i) / 2^s, with no
+    trailing zeros in c and an odd c[i] whenever s > 0.
+    """
+
+    __slots__ = ("_ints", "_shift", "_hash")
 
     def __init__(self, p_coeffs=None):
-        coeffs = {}
-        for exp, raw in dict(p_coeffs or {}).items():
-            exp = int(exp)
-            if exp < 0:
-                raise ValueError("negative exponent in quantity polynomial")
-            c = Fraction(raw)
-            if c == 0:
-                continue
-            if not is_dyadic(c):
-                raise ValueError(f"coefficient {c} has a non power-of-two denominator")
-            coeffs[exp] = c
-        self._coeffs = coeffs
+        ints, self._shift = _dyadic_ints(p_coeffs)
+        self._ints = tuple(ints)
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -81,7 +120,7 @@ class MorphPoly:
 
     @classmethod
     def constant(cls, value) -> "MorphPoly":
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def halfline(cls) -> "MorphPoly":
@@ -93,45 +132,51 @@ class MorphPoly:
 
     @classmethod
     def from_r_coeffs(cls, r_coeffs) -> "MorphPoly":
-        """Build from a map R-exponent -> coefficient via R^k = (2*Rp + 1)^k."""
-        coeffs = {}
-        for k, raw in dict(r_coeffs).items():
-            k = int(k)
-            c = Fraction(raw)
-            if c == 0:
-                continue
-            for j in range(k + 1):
-                coeffs[j] = coeffs.get(j, Fraction(0)) + c * comb(k, j) * (1 << j)
-        return cls(coeffs)
+        """Build from a map R-exponent -> coefficient via R = 2*Rp + 1."""
+        a, shift = _dyadic_ints(r_coeffs)
+        if not a:
+            return cls()
+        acc = [a[-1]]
+        for k in range(len(a) - 2, -1, -1):  # Horner: acc -> acc * (2*Rp + 1) + a[k]
+            twice = [c << 1 for c in acc]
+            acc = [acc[0] + a[k], *map(add, acc[1:], twice), twice[-1]]
+        return _normalised(acc, shift)
 
     # -- views ---------------------------------------------------------
 
     def p_coeffs(self) -> dict:
-        return dict(self._coeffs)
+        den = 1 << self._shift
+        return {e: Fraction(c, den) for e, c in enumerate(self._ints) if c}
 
     def p_coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
+        if 0 <= exp < len(self._ints):
+            return Fraction(self._ints[exp], 1 << self._shift)
+        return Fraction(0)
 
     def r_coeffs(self) -> dict:
         """Coefficients over R, via Rp^p = ((R - 1)/2)^p.  May be half-integral."""
-        out = {}
-        for p, c in self._coeffs.items():
-            scale = Fraction(1, 1 << p)
-            for j in range(p + 1):
-                sign = -1 if (p - j) % 2 else 1
-                out[j] = out.get(j, Fraction(0)) + c * comb(p, j) * sign * scale
-        return {j: c for j, c in out.items() if c != 0}
+        c = self._ints
+        if not c:
+            return {}
+        d = len(c) - 1
+        # sum c[i] * ((R - 1)/2)^i = sum (c[i] << (d - i)) * (R - 1)^i / 2^d,
+        # expanded by Horner in (R - 1): acc -> acc * (R - 1) + (c[i] << (d - i))
+        acc = [c[d]]
+        for i in range(d - 1, -1, -1):
+            acc = [(c[i] << (d - i)) - acc[0], *map(sub, acc, acc[1:]), acc[-1]]
+        den = 1 << (self._shift + d)
+        return {j: Fraction(x, den) for j, x in enumerate(acc) if x}
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     def degree(self) -> int:
-        if not self._coeffs:
+        if not self._ints:
             raise ZeroQuantity("the zero quantity has no degree")
-        return max(self._coeffs)
+        return len(self._ints) - 1
 
     def leading_p(self) -> Fraction:
-        return self._coeffs[self.degree()]
+        return Fraction(self._ints[self.degree()], 1 << self._shift)
 
     # -- ring structure --------------------------------------------------
 
@@ -139,7 +184,9 @@ class MorphPoly:
     def _coerce(other):
         if isinstance(other, MorphPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return _normalised([other], 0)
+        if isinstance(other, Fraction):
             return MorphPoly({0: other})
         return None
 
@@ -147,15 +194,20 @@ class MorphPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MorphPoly(out)
+        a, b = self._ints, other._ints
+        shift = max(self._shift, other._shift)
+        if self._shift < shift:
+            a = [c << (shift - self._shift) for c in a]
+        elif other._shift < shift:
+            b = [c << (shift - other._shift) for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        return _normalised([*map(add, a, b), *a[len(b):]], shift)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MorphPoly({e: -c for e, c in self._coeffs.items()})
+        return _normalised([-c for c in self._ints], self._shift)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -173,12 +225,17 @@ class MorphPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MorphPoly(out)
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return MorphPoly()
+        if len(a) < len(b):
+            a, b = b, a
+        n = len(a)
+        out = [0] * (n + len(b) - 1)
+        for i, x in enumerate(b):
+            if x:
+                out[i:i + n] = map(add, out[i:i + n], map(x.__mul__, a))
+        return _normalised(out, self._shift + other._shift)
 
     __rmul__ = __mul__
 
@@ -204,19 +261,19 @@ class MorphPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._ints == other._ints and self._shift == other._shift
 
     def __hash__(self):
         if self._hash is None:
-            coeffs = self._coeffs
-            if coeffs.keys() <= {0}:  # a constant equals its value, so hashes as it
-                self._hash = hash(coeffs.get(0, 0))
+            c = self._ints
+            if len(c) <= 1:  # a constant equals its value, so hashes as it
+                self._hash = hash(Fraction(c[0], 1 << self._shift) if c else 0)
             else:
-                self._hash = hash(tuple(sorted(coeffs.items())))
+                self._hash = hash((c, self._shift))
         return self._hash
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._ints)
 
     def __repr__(self):
         return f"MorphPoly({render(self, 'p')!r})"
@@ -229,27 +286,6 @@ R = MorphPoly.line()
 P = MorphPoly.halfline()
 
 
-def _divmod_dicts(num, den):
-    """Long division in the rational polynomial ring; plain dict arithmetic."""
-    dd = max(den)
-    dl = den[dd]
-    rem = dict(num)
-    quo = {}
-    while rem and max(rem) >= dd:
-        e = max(rem)
-        f = rem[e] / dl
-        k = e - dd
-        quo[k] = quo.get(k, Fraction(0)) + f
-        for de, dc in den.items():
-            ne = de + k
-            nv = rem.get(ne, Fraction(0)) - dc * f
-            if nv:
-                rem[ne] = nv
-            elif ne in rem:
-                del rem[ne]
-    return quo, rem
-
-
 def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
     """Exact quotient num/den, or NonZeroRemainder if no quantity solves c*den = num."""
     num = MorphPoly._coerce(num)
@@ -260,27 +296,64 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
         raise DivisionByZero("division by the zero quantity")
     if num.is_zero():
         return MorphPoly.zero()
-    quo, rem = _divmod_dicts(num._coeffs, den._coeffs)
-    if rem:
+    # Long division of the ints, keeping mult * num_ints == quo * den_ints + rem.
+    # A top coefficient that the lead does not divide scales rem and quo by
+    # |lead|/gcd, so a power-of-two lead only ever scales by powers of two.
+    rem = list(num._ints)
+    low = den._ints[:-1]
+    lead = den._ints[-1]
+    quo = [0] * max(len(rem) - len(low), 0)
+    mult = 1
+    for k in range(len(quo) - 1, -1, -1):
+        top = rem.pop()
+        if not top:
+            continue
+        f, r = divmod(top, lead)
+        if r:
+            m = abs(lead) // gcd(top, lead)
+            mult *= m
+            rem = [c * m for c in rem]
+            quo = [c * m for c in quo]
+            f = top * m // lead
+        quo[k] = f
+        if low:
+            rem[k:] = map(sub, rem[k:], map(f.__mul__, low))
+    if any(rem):
+        rem_den = mult << num._shift
+        rem = {e: Fraction(c, rem_den) for e, c in enumerate(rem) if c}
         raise NonZeroRemainder(
             f"non-zero remainder {_render_powers(rem, 'Rp')}",
             remainder=rem,
         )
-    if not all(is_dyadic(c) for c in quo.values()):
-        raise NonZeroRemainder(
-            "quotient needs non power-of-two denominators; no quantity solution"
-        )
-    return MorphPoly(quo)
+    # the quotient is quo * 2^(den shift - num shift) / mult
+    twos = (mult & -mult).bit_length() - 1
+    odd = mult >> twos
+    if odd > 1:
+        if any(c % odd for c in quo):
+            raise NonZeroRemainder(
+                "quotient needs non power-of-two denominators; no quantity solution"
+            )
+        quo = [c // odd for c in quo]
+    shift = num._shift + twos - den._shift
+    if shift < 0:
+        quo = [c << -shift for c in quo]
+        shift = 0
+    return _normalised(quo, shift)
 
 
 def evaluate_at(q: MorphPoly, r_value) -> Fraction:
     """Exact value of q at R = r_value (so Rp = (r_value - 1)/2)."""
-    r_value = Fraction(r_value)
-    p_value = (r_value - 1) / 2
-    total = Fraction(0)
-    for e, c in q._coeffs.items():
-        total += c * p_value ** e
-    return total
+    p_value = (Fraction(r_value) - 1) / 2
+    a, b = p_value.numerator, p_value.denominator
+    c = q._ints
+    if not c:
+        return Fraction(0)
+    # Horner over Z: sum c[i] * a^i * b^(d - i), over b^d * 2^shift
+    total, scale = c[-1], 1
+    for x in reversed(c[:-1]):
+        scale *= b
+        total = total * a + x * scale
+    return Fraction(total, scale << q._shift)
 
 
 def euler(q: MorphPoly):
@@ -321,11 +394,10 @@ def classify(q: MorphPoly) -> Classification:
     if q.is_zero():
         return Classification(False, False, False, False, False, False, "NotAnObject")
 
-    pvals = list(q._coeffs.values())
-    p_integers = all(c.denominator == 1 for c in pvals)
-    is_object = p_integers and q.leading_p() >= 1
+    p_integers = q._shift == 0
+    is_object = p_integers and q._ints[-1] >= 1
 
-    semi = p_integers and all(c >= 0 for c in pvals)
+    semi = p_integers and min(q._ints) >= 0
 
     rc = q.r_coeffs()
     r_integers = all(c.denominator == 1 for c in rc.values())
@@ -393,11 +465,9 @@ def _search_min_rep(q: MorphPoly, j_bound: int):
     (p desc, r desc).  Bounded exhaustive search; exact at desk scale.
     """
     degree = q.degree()
-    target = [0] * (degree + 1)
-    for e, c in q._coeffs.items():
-        if c.denominator != 1 or c < 0:
-            return None
-        target[e] = c.numerator
+    if q._shift or min(q._ints) < 0:
+        return None
+    target = list(q._ints)
     terms = [
         (p, r)
         for p in range(min(j_bound, degree), -1, -1)

@@ -192,6 +192,50 @@ def test_cli_divide():
     assert _run(["divide", "R^2+1", "R+1"])[0] == 3
 
 
+# stdout, stderr and exit status of `divide`, recorded from the Fraction-backed
+# implementation that the integer representation replaced
+_DIVIDE_GOLDEN = [
+    # remainders with half-integral Rp coefficients
+    ("Rp^3 + Rp", "2*Rp^2 + 1", 3, "", "inexact division: non-zero remainder 1/2*Rp\n"),
+    ("R^3 + Rp", "4*Rp^2 + 2", 3, "", "inexact division: non-zero remainder 3*Rp - 5\n"),
+    # negative leading coefficients
+    ("R", "0 - 2", 0, "0 - 1/2*R\n", ""),
+    ("R^2 + 1", "0 - 2*R + 1", 3, "", "inexact division: non-zero remainder 5/4\n"),
+    ("R^2 - 1", "0 - R - 1", 0, "0 - R + 1\n", ""),
+    # quotients and remainders that are not dyadic
+    ("1", "3", 3, "",
+     "inexact division: quotient needs non power-of-two denominators; no quantity solution\n"),
+    ("R^3", "3*R", 3, "",
+     "inexact division: quotient needs non power-of-two denominators; no quantity solution\n"),
+    ("Rp", "3*Rp + 1", 3, "", "inexact division: non-zero remainder 0 - 1/3\n"),
+    # zero
+    ("R", "0", 3, "", "inexact division: division by the zero quantity\n"),
+    ("0", "R", 0, "0\n", ""),
+    # exact and inexact divisions with even leading coefficients
+    ("R^2 + 1", "R + 1", 3, "", "inexact division: non-zero remainder 2\n"),
+    ("S(5)*S(4)*S(3)", "S(2)*S(1)*S(0)", 0,
+     "R^9 + R^8 + 2*R^7 + 3*R^6 + 3*R^5 + 3*R^4 + 3*R^3 + 2*R^2 + R + 1\n", ""),
+    ("6*R^2", "4*R", 0, "3/2*R\n", ""),
+    ("R +", "R", 2, "", "error: unexpected 'end of input' (at position 3)\n"),
+]
+
+
+@pytest.mark.parametrize("num,den,code,stdout,stderr", _DIVIDE_GOLDEN)
+def test_cli_divide_golden(capsys, num, den, code, stdout, stderr):
+    assert _run(["divide", num, den]) == (code, stdout)
+    assert capsys.readouterr().err == stderr
+
+
+def test_cli_parser_carries_nothing_between_calls(capsys):
+    assert _run(["eval", "R^2 - 1", "--form", "mixed"]) == (0, "2*Rp*R + 2*Rp\n")
+    assert _run(["eval", "R^2 - 1"]) == (0, "R^2 - 1\n")
+    assert _run(["eval"])[0] == 2
+    assert _run(["--help"])[0] == 0
+    assert "usage: morphcalc" in capsys.readouterr().out
+    assert _run(["eval", "R^2 - 1", "--form", "p"]) == (0, "4*Rp^2 + 4*Rp\n")
+    assert _run(["eval", "R^2 - 1"]) == (0, "R^2 - 1\n")
+
+
 def test_cli_classify_euler_dim_normal():
     code, text = _run(["classify", "1 - R"])
     assert code == 0 and "NotAnObject" in text

@@ -169,3 +169,9 @@ def _exprs(depth):
 @given(_exprs(3))
 def test_generated_print_parse_round_trip(e):
     assert parse(print_expr(e)) == e
+
+
+def test_print_expr_deep_nesting_is_a_syntax_error():
+    e = parse("R" + "-0" * 3000)
+    with pytest.raises(ExprSyntaxError, match="expression nested too deeply"):
+        print_expr(e)

@@ -351,3 +351,69 @@ def test_degree_and_zero():
 @given(small_poly)
 def test_r_basis_round_trip(q):
     assert MorphPoly.from_r_coeffs(q.r_coeffs()) == q
+
+
+# -- representation ------------------------------------------------------------
+
+def _assert_normalised(q):
+    ints, shift = q._ints, q._shift
+    assert type(ints) is tuple and all(type(c) is int for c in ints)
+    assert not ints or ints[-1] != 0
+    assert shift >= 0
+    assert shift == 0 or any(c & 1 for c in ints)
+
+
+def _assert_nonzero_fraction_map(coeffs):
+    assert all(type(e) is int and type(c) is Fraction and c != 0 for e, c in coeffs.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_poly, small_poly)
+def test_representation_is_normalised(a, b):
+    results = [a, b, a + b, a - b, a * b, -a, a ** 2, MorphPoly.from_r_coeffs(a.p_coeffs())]
+    if b:
+        results.append(div_exact(a * b, b))
+        try:
+            results.append(div_exact(a, b))
+        except NonZeroRemainder:
+            pass
+    for q in results:
+        _assert_normalised(q)
+        _assert_nonzero_fraction_map(q.p_coeffs())
+        _assert_nonzero_fraction_map(q.r_coeffs())
+
+
+def test_representation_examples():
+    def form(q):
+        return q._ints, q._shift
+
+    assert form(MorphPoly({0: 0, 3: Fraction(0, 4)})) == ((), 0)
+    assert form(MorphPoly({0: Fraction(2, 4)})) == ((1,), 1)
+    assert form(R - 1) == ((0, 2), 0)
+    half = (R - 1) * Fraction(1, 4)
+    assert form(half) == ((0, 1), 1)
+    assert form(half + half) == ((0, 1), 0)
+
+
+def test_equal_quantities_hash_alike():
+    pairs = [
+        (MorphPoly({0: Fraction(2, 4)}), Fraction(1, 2)),
+        (MorphPoly({0: Fraction(2, 4)}), MorphPoly.constant(Fraction(1, 2))),
+        ((R * P) / R, P),
+        (2 * P + 1, R),
+        (MorphPoly({1: Fraction(4, 2), 0: 1}), R),
+        (P * Fraction(1, 2) * 2, P),
+        (R - 1 - 2 * P, 0),
+        (div_exact(R ** 2 - 1, 4 * P), (R + 1) * Fraction(1, 2)),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert len({MorphPoly({0: Fraction(2, 4)}), Fraction(1, 2), (R * P) / R, P, 2 * P + 1, R}) == 3
+
+
+def test_views_are_fraction_maps_of_nonzero_terms():
+    q = R ** 3 - R * Fraction(3, 2) + P
+    assert q.p_coeffs() == {3: 8, 2: 12, 1: 4, 0: Fraction(-1, 2)}
+    assert q.r_coeffs() == {3: 1, 1: -1, 0: Fraction(-1, 2)}
+    for view in (q.p_coeffs(), q.r_coeffs(), MorphPoly.zero().p_coeffs()):
+        _assert_nonzero_fraction_map(view)
