@@ -130,18 +130,14 @@ def spin(m: int) -> MorphPoly:
 
 
 def conformal_compactification(p: int, q: int) -> MorphPoly:
-    # recursion: Rbar(p, q) = R^(p+q) + Rbar(p-1, q-1)*R + 1, Rbar(p, 0) = R^p + 1
-    if q == 0:
-        return R ** p + 1
-    return R ** (p + q) + conformal_compactification(p - 1, q - 1) * R + 1
+    # SS(p) * RP(q) solves Rbar(p, q) = R^(p+q) + Rbar(p-1, q-1)*R + 1, Rbar(p, 0) = R^p + 1
+    return poincare_sphere(p) * projective(q, 1)
 
 
 def twistor_stereographic(p: int, q: int) -> MorphPoly:
-    # recursion: TT(p, q) = C^(p+q-2)*R + TT(p-1, q-1)*C + 1, TT(p, 1) = C^(p-1)*R + 1
-    C = R ** 2
-    if q == 1:
-        return C ** (p - 1) * R + 1
-    return C ** (p + q - 2) * R + twistor_stereographic(p - 1, q - 1) * C + 1
+    # with C = R^2, SS(2p-1) * CP(q-1) solves TT(p, q) = C^(p+q-2)*R + TT(p-1, q-1)*C + 1,
+    # TT(p, 1) = C^(p-1)*R + 1
+    return poincare_sphere(2 * p - 1) * projective(q - 1, 2)
 
 
 def compact_complex_sphere(m: int) -> MorphPoly:

@@ -6,17 +6,24 @@ quaternionic projective spaces, phantom planes R^(2m) - R^m + 1, and the
 middle factors sum(R^(i*k)) of the repeated-suspension identities (s + 1
 prime so they do not split into smaller factors of the same shape).
 
-Greedy order: strip powers of R, then try candidates by descending degree
-(family order breaks ties), restarting after every hit.  Odd real projective
-spaces are intentionally not scanned: RP^(2m+1) = (R + 1) * CP^m, and which
-CP the stray (R + 1) belongs to only becomes clear at the end, so leftover
-(R + 1) factors are merged into the smallest emitted CP afterwards.  This
-deterministic order reproduces all the worked Grassmannian tables.
+Every candidate is a product of cyclotomic polynomials Phi_d, because
+R^m - 1 = prod_{d | m} Phi_d, so it divides the input exactly when its
+exponents {d: e_d} fit under the input's.  Greedy order: strip powers of R,
+read the input's exponents once by exact division by each Phi_d, then take
+each candidate, by descending degree (family order breaks ties), as many
+times as it fits.  Odd real projective spaces are intentionally not
+scanned: RP^(2m+1) = (R + 1) * CP^m, and which CP the stray (R + 1) belongs
+to only becomes clear at the end, so leftover (R + 1) factors are merged
+into the smallest emitted CP afterwards.  This deterministic order
+reproduces all the worked Grassmannian tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from math import gcd, prod
 
 from .quantity import (
     MorphError,
@@ -76,10 +83,7 @@ class FactorizationResult:
     residual: MorphPoly
 
     def product(self) -> MorphPoly:
-        total = MorphPoly.constant(1)
-        for f in self.factors:
-            total = total * f.poly ** f.multiplicity
-        return total * self.residual
+        return prod((f.poly ** f.multiplicity for f in self.factors), start=self.residual)
 
     def display(self) -> str:
         if not self.factors:
@@ -90,92 +94,90 @@ class FactorizationResult:
         return text
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 _FAMILY_RANK = {"SS": 0, "RP": 1, "CP": 2, "HP": 3, "hopf": 4, "Ph": 5}
 
 
+@lru_cache(maxsize=None)
+def _divisors(m: int):
+    return tuple(d for d in range(1, m + 1) if m % d == 0)
+
+
+@lru_cache(maxsize=None)
+def _totient(d: int) -> int:
+    return sum(gcd(j, d) == 1 for j in range(d))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> MorphPoly:
+    """Phi_d: R^d - 1 over every Phi_m with m | d, m < d."""
+    below = prod(_cyclotomic(m) for m in _divisors(d)[:-1])
+    return div_exact(MorphPoly.from_r_coeffs({d: 1, 0: -1}), below)
+
+
 def _dictionary(max_degree: int):
-    """Candidate factors (family, name, params, poly) of degree <= max_degree, best tried first."""
+    """Candidates (family, name, params, build, exponents) of degree <= max_degree, best first.
+
+    `build()` makes the polynomial prod Phi_d^e_d of the cyclotomic exponents {d: e_d}.
+    """
     out = []
+
+    def add(family, name, params, build, *pairs):
+        # the candidate is prod (R^m - 1)^k over its (m, k) pairs
+        exponents = Counter()
+        for m, k in pairs:
+            exponents.update(dict.fromkeys(_divisors(m), k))
+        key = (-sum(m * k for m, k in pairs), _FAMILY_RANK[family])
+        out.append((key, (family, name, params, build, +exponents)))
+
     for k in range(2, max_degree + 1):
-        out.append(("SS", "SS", (k,), poincare_sphere(k)))
+        add("SS", "SS", (k,), partial(poincare_sphere, k), (2 * k, 1), (k, -1))
     for m in range(1, max_degree // 2 + 1):
-        out.append(("RP", "RP", (2 * m,), projective(2 * m, 1)))
-    for k in range(2, max_degree // 2 + 1):
-        out.append(("CP", "CP", (k,), projective(k, 2)))
-    for k in range(2, max_degree // 4 + 1):
-        out.append(("HP", "HP", (k,), projective(k, 4)))
+        add("RP", "RP", (2 * m,), partial(projective, 2 * m, 1), (2 * m + 1, 1), (1, -1))
+    for step, family in ((2, "CP"), (4, "HP")):
+        for k in range(2, max_degree // step + 1):
+            add(family, family, (k,), partial(projective, k, step), (step * (k + 1), 1), (step, -1))
     for k in range(3, max_degree + 1):
-        if k == 4:
-            continue  # coincides with the quaternionic projective family
-        s = 2
-        while s * k <= max_degree:
-            if _is_prime(s + 1):
-                middle = MorphPoly.from_r_coeffs({i * k: 1 for i in range(s + 1)})
-                out.append(("hopf", None, (s, k), middle))
-            s += 1
+        # the middle factor sum(R^(i*k)) for i <= s is projective(s, k)
+        for s in range(2, max_degree // k + 1):
+            if len(_divisors(s + 1)) == 2:  # s + 1 prime
+                add("hopf", None, (s, k), partial(projective, s, k), (k * (s + 1), 1), (k, -1))
     for m in range(1, max_degree // 2 + 1):
         name = {1: "RPh", 2: "CPh", 4: "HPh"}.get(m)
-        out.append(("Ph", name, (2,) if name else (m,), phantom(2, m)))
-    return sorted(out, key=lambda c: (-c[3].degree(), _FAMILY_RANK[c[0]]))
-
-
-def _divides(q: MorphPoly, d: MorphPoly):
-    try:
-        return div_exact(q, d)
-    except NonZeroRemainder:
-        return None
+        add("Ph", name, (2,) if name else (m,), partial(phantom, 2, m),
+            (6 * m, 1), (3 * m, -1), (2 * m, -1), (m, 1))
+    return [c for _, c in sorted(out, key=lambda c: c[0])]
 
 
 def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
-    """Greedy exact division by the factor dictionary; leftover is the residual."""
+    """Greedy extraction of the factor dictionary; leftover is the residual."""
     if not classify(q).integer_type:
         raise NotIntegerType(f"{render(q, 'r')} is not of integer type")
 
-    found = []  # (family, name, params, poly) with repetition
-
-    # powers of R first: strip the lowest R-exponent
-    current = q
-    rc = current.r_coeffs()
+    # powers of R first: shift away the lowest R-exponent
+    rc = q.r_coeffs()
     low = min(rc)
-    for _ in range(low):
-        current = div_exact(current, R)
-        found.append(("R", None, (), R))
+    current = MorphPoly.from_r_coeffs({e - low: c for e, c in rc.items()})
+    found = [("R", None, (), R)] * low  # (family, name, params, poly) with repetition
 
-    candidates = _dictionary(current.degree()) if not current.is_zero() else []
-    progress = True
-    while progress and current.degree() > 0:
-        progress = False
-        for candidate in candidates:
-            poly = candidate[3]
-            if poly.degree() > current.degree():
-                continue
-            quotient = _divides(current, poly)
-            if quotient is not None:
-                found.append(candidate)
-                current = quotient
-                progress = True
+    candidates = _dictionary(current.degree())
+    exponents = Counter()
+    for d in sorted({2}.union(*(c[4] for c in candidates))):
+        while _totient(d) <= current.degree():  # the degree of Phi_d, known before building it
+            try:
+                current = div_exact(current, _cyclotomic(d))
+            except NonZeroRemainder:
                 break
+            exponents[d] += 1
 
-    # trailing halfline circles: RP^1 = R + 1
-    rp1 = projective(1, 1)
-    spare = 0
-    while current.degree() > 0:
-        quotient = _divides(current, rp1)
-        if quotient is None:
-            break
-        spare += 1
-        current = quotient
+    for family, name, params, build, need in candidates:
+        times = min(exponents[d] // e for d, e in need.items())
+        if times:
+            exponents.subtract({d: e * times for d, e in need.items()})
+            found += [(family, name, params, build())] * times
+
+    # trailing halfline circles: RP^1 = R + 1; the other leftovers join the residual
+    spare = exponents.pop(2, 0)
+    current = current * prod(_cyclotomic(d) ** e for d, e in exponents.items())
 
     # each spare (R + 1) merges with the smallest CP into an odd RP
     merged = []
@@ -191,7 +193,7 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
         else:
             merged.append(f)
     for _ in range(spare):
-        merged.append(("RP", "RP", (1,), rp1))
+        merged.append(("RP", "RP", (1,), projective(1, 1)))
 
     # collate multiplicities, preserving first-seen order
     counts = {}

@@ -258,6 +258,8 @@ class MorphPoly:
         return div_exact(self, other)
 
     def __eq__(self, other):
+        if isinstance(other, Fraction) and other.denominator & (other.denominator - 1):
+            return False  # a non power-of-two denominator is no quantity's value
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -251,3 +251,21 @@ def test_hopf_family():
     assert eval_expr(rec.lhs) == 2 * R + 2
     with pytest.raises(BadParams):
         hopf_family(0, 2)
+
+
+def _rbar_recursion(p, q):
+    return R ** p + 1 if q == 0 else R ** (p + q) + _rbar_recursion(p - 1, q - 1) * R + 1
+
+
+def _tt_recursion(p, q):
+    if q == 1:
+        return C ** (p - 1) * R + 1
+    return C ** (p + q - 2) * R + _tt_recursion(p - 1, q - 1) * C + 1
+
+
+def test_rbar_and_tt_products_solve_their_recursions():
+    for p in range(16):
+        for q in range(p + 1):
+            assert catalog_quantity("Rbar", [p, q]) == _rbar_recursion(p, q)
+            if q:
+                assert catalog_quantity("TT", [p, q]) == _tt_recursion(p, q)

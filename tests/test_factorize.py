@@ -1,14 +1,25 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphcalc.catalog import BadParams, gaussian_binomial, schubert_cells, sphere
+from morphcalc.catalog import (
+    BadParams,
+    gaussian_binomial,
+    phantom,
+    poincare_sphere,
+    projective,
+    schubert_cells,
+    sphere,
+)
 from morphcalc.factorize import (
+    Factor,
+    FactorizationResult,
     NotIntegerType,
+    _dictionary,
     factor_into_catalog,
     grassmann_divide,
     periodicity_scan,
 )
-from morphcalc.quantity import MorphPoly, classify, render
+from morphcalc.quantity import MorphPoly, NonZeroRemainder, classify, div_exact, render
 
 R = MorphPoly.line()
 
@@ -184,3 +195,126 @@ def test_periodicity_report_serialization():
     assert len(records) == 5 and all(isinstance(n, int) for n, _ in records)
     with pytest.raises(BadParams):
         periodicity_scan(4, (5, 9))
+
+
+# -- reference: greedy trial division by candidate polynomials ------------------
+
+
+def _reference_dictionary(max_degree):
+    out = []
+    for k in range(2, max_degree + 1):
+        out.append(("SS", "SS", (k,), poincare_sphere(k)))
+    for m in range(1, max_degree // 2 + 1):
+        out.append(("RP", "RP", (2 * m,), projective(2 * m, 1)))
+    for k in range(2, max_degree // 2 + 1):
+        out.append(("CP", "CP", (k,), projective(k, 2)))
+    for k in range(2, max_degree // 4 + 1):
+        out.append(("HP", "HP", (k,), projective(k, 4)))
+    for k in range(3, max_degree + 1):
+        if k == 4:
+            continue  # coincides with the quaternionic projective family
+        for s in range(2, max_degree // k + 1):
+            if all((s + 1) % p for p in range(2, s + 1)):
+                middle = MorphPoly.from_r_coeffs({i * k: 1 for i in range(s + 1)})
+                out.append(("hopf", None, (s, k), middle))
+    for m in range(1, max_degree // 2 + 1):
+        name = {1: "RPh", 2: "CPh", 4: "HPh"}.get(m)
+        out.append(("Ph", name, (2,) if name else (m,), phantom(2, m)))
+    rank = {"SS": 0, "RP": 1, "CP": 2, "HP": 3, "hopf": 4, "Ph": 5}
+    return sorted(out, key=lambda c: (-c[3].degree(), rank[c[0]]))
+
+
+def _quotient(q, d):
+    try:
+        return div_exact(q, d)
+    except NonZeroRemainder:
+        return None
+
+
+def _reference_factor(q):
+    """Strip R, divide by the first candidate that divides, restart; then R + 1."""
+    found = []
+    current = q
+    for _ in range(min(q.r_coeffs())):
+        current = div_exact(current, R)
+        found.append(("R", None, (), R))
+    candidates = _reference_dictionary(current.degree())
+    progress = True
+    while progress and current.degree() > 0:
+        progress = False
+        for candidate in candidates:
+            if candidate[3].degree() <= current.degree():
+                quotient = _quotient(current, candidate[3])
+                if quotient is not None:
+                    found.append(candidate)
+                    current = quotient
+                    progress = True
+                    break
+    rp1 = projective(1, 1)
+    spare = 0
+    while current.degree() > 0 and _quotient(current, rp1) is not None:
+        current = _quotient(current, rp1)
+        spare += 1
+    merged = []
+    cps = sorted((f for f in found if f[0] == "CP"), key=lambda f: f[2][0])
+    for f in found:
+        if f[0] == "CP" and spare and cps and f is cps[0]:
+            m = f[2][0]
+            merged.append(("RP", "RP", (2 * m + 1,), projective(2 * m + 1, 1)))
+            spare -= 1
+            cps.pop(0)
+        else:
+            merged.append(f)
+    merged += [("RP", "RP", (1,), rp1)] * spare
+    counts = {}
+    for key in merged:
+        counts[key] = counts.get(key, 0) + 1
+    factors = tuple(Factor(*key, multiplicity) for key, multiplicity in counts.items())
+    return FactorizationResult(factors=factors, residual=current)
+
+
+def test_each_candidate_factors_to_itself():
+    for family, name, params, build, _ in _dictionary(30):
+        poly = build()
+        result = factor_into_catalog(poly)
+        assert result.residual == 1, (family, params)
+        [factor] = result.factors
+        assert factor.poly == poly and factor.multiplicity == 1
+        if (family, params[1:]) != ("hopf", (4,)):  # hopf(s, 4) is HP(s)
+            assert (factor.family, factor.name, factor.params) == (family, name, params)
+
+
+PHI10 = R ** 4 - R ** 3 + R ** 2 - R + 1  # cyclotomic, but in no candidate alone
+
+
+@pytest.mark.parametrize("q,factors,residual", [
+    (R + 1, "RP(1)", 1),
+    (R, "R", 1),
+    (MorphPoly.constant(3), "", 3),
+    (R - 1, "", R - 1),
+    (R ** 2 + R + 2, "", R ** 2 + R + 2),
+    (PHI10, "", PHI10),
+    (PHI10 ** 2 * (R + 1) * (R ** 2 + 1), "SS(5) * SS(2)", PHI10),
+])
+def test_factor_small_cases(q, factors, residual):
+    result = factor_into_catalog(q)
+    assert " * ".join(f.display() for f in result.factors) == factors
+    assert result.residual == residual
+
+
+_pool = [f[3] for f in _reference_dictionary(8)] + [
+    R, R, R + 1, R - 1, MorphPoly.constant(2), MorphPoly.constant(3),
+    R ** 2 + R + 2, 2 * R ** 2 + 1, R ** 3 - R + 1, PHI10,
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(_pool), min_size=1, max_size=5))
+def test_factor_matches_trial_division_reference(elements):
+    q = MorphPoly.constant(1)
+    for e in elements:
+        q = q * e
+    result, reference = factor_into_catalog(q), _reference_factor(q)
+    assert result.display() == reference.display()
+    assert result.residual == reference.residual
+    assert result.factors == reference.factors

@@ -411,6 +411,13 @@ def test_equal_quantities_hash_alike():
     assert len({MorphPoly({0: Fraction(2, 4)}), Fraction(1, 2), (R * P) / R, P, 2 * P + 1, R}) == 3
 
 
+def test_non_dyadic_fractions_compare_unequal():
+    one = MorphPoly.constant(1)
+    assert not one == Fraction(1, 3) and not Fraction(1, 3) == one
+    assert one != Fraction(1, 3) and MorphPoly.constant(Fraction(1, 2)) == Fraction(1, 2)
+    assert len({one, Fraction(1, 3), Fraction(1)}) == 2
+
+
 def test_views_are_fraction_maps_of_nonzero_terms():
     q = R ** 3 - R * Fraction(3, 2) + P
     assert q.p_coeffs() == {3: 8, 2: 12, 1: 4, 0: Fraction(-1, 2)}
