@@ -23,6 +23,7 @@ from .quantity import (
     P,
     R,
     div_exact,
+    render,
 )
 
 
@@ -409,11 +410,16 @@ def gaussian_binomial(n: int, k: int) -> MorphPoly:
 # -- identity families ----------------------------------------------------
 
 
+def _identity(name: str, lhs: str, rhs: str, citation: str):
+    """The corpus record `name ; lhs ; == ; rhs ; citation`."""
+    from .corpus import load_corpus  # local import: corpus builds on the catalog
+
+    (record,) = load_corpus(f"{name} ; {lhs} ; == ; {rhs} ; {citation}")
+    return record
+
+
 def sphere_addition(p: int, q: int, r: int = None):
     """The sphere addition identity for a (p, q[, r]) block split, as a corpus record."""
-    from .corpus import IdentityRecord  # local import: corpus builds on the parser
-    from .lang import parse
-
     if p < 1 or q < 1 or (r is not None and r < 1):
         raise BadParams("sphere_addition needs positive block sizes")
     if r is None:
@@ -435,37 +441,13 @@ def sphere_addition(p: int, q: int, r: int = None):
             + f" + S({p - 1}) + S({q - 1}) + S({r - 1})"
         )
         name = f"sphere-addition-{p}-{q}-{r}"
-    return IdentityRecord(
-        name=name,
-        lhs=parse(lhs),
-        rhs=parse(rhs),
-        expect="equal",
-        citation="sphere addition",
-        lhs_source=lhs,
-        rhs_source=rhs,
-    )
+    return _identity(name, lhs, rhs, "sphere addition")
 
 
 def hopf_family(s: int, k: int):
     """The repeated-suspension factorization S((s+1)k - 1) = (R^(sk) + .. + R^k + 1)*S(k-1)."""
-    from .corpus import IdentityRecord
-    from .lang import parse
-
     if s < 1 or k < 1:
         raise BadParams("hopf_family needs s >= 1 and k >= 1")
-    powers = []
-    for i in range(s, 0, -1):
-        e = i * k
-        powers.append("R" if e == 1 else f"R^{e}")
     lhs = f"S({(s + 1) * k - 1})"
-    rhs = f"({' + '.join(powers)} + 1)*S({k - 1})"
-    name = f"hopf-{s}-{k}"
-    return IdentityRecord(
-        name=name,
-        lhs=parse(lhs),
-        rhs=parse(rhs),
-        expect="equal",
-        citation="hopf factorization",
-        lhs_source=lhs,
-        rhs_source=rhs,
-    )
+    rhs = f"({render(projective(s, k), 'r')})*S({k - 1})"
+    return _identity(f"hopf-{s}-{k}", lhs, rhs, "hopf factorization")

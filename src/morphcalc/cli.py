@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from functools import cache
 
 from . import corpus as corpus_mod
@@ -51,15 +52,8 @@ def _eval_source(source: str) -> MorphPoly:
 def _print_classification(q: MorphPoly, out):
     c = classify(q)
     print(f"label: {c.label}", file=out)
-    flags = [
-        ("is_object", c.is_object),
-        ("integrable", c.integrable),
-        ("semi_integrable", c.semi_integrable),
-        ("integer_type", c.integer_type),
-        ("half_integer_type", c.half_integer_type),
-        ("just_another_type", c.just_another_type),
-    ]
-    print(" ".join(f"{name}={'yes' if v else 'no'}" for name, v in flags), file=out)
+    flags = [f.name for f in fields(c) if f.name != "label"]
+    print(" ".join(f"{name}={'yes' if getattr(c, name) else 'no'}" for name in flags), file=out)
 
 
 @cache  # parse_args returns a fresh namespace, so one parser serves every call

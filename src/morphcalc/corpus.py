@@ -13,7 +13,7 @@ reported as failures with diagnostics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .quantity import MorphError, MorphPoly, P, R, render
 from .lang import Expr, eval_expr, parse
@@ -42,7 +42,7 @@ class IdentityRecord:
 
 
 @dataclass(frozen=True)
-class RecordOutcome:
+class RecordOutcome:  # the field order is the --json key order
     name: str
     expect: str
     outcome: str  # "pass" | "fail"
@@ -86,20 +86,7 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        records = []
-        for o in self.outcomes:
-            row = {
-                "name": o.name,
-                "expect": o.expect,
-                "outcome": o.outcome,
-                "lhs": o.lhs,
-                "rhs": o.rhs,
-            }
-            if o.difference is not None:
-                row["difference"] = o.difference
-            if o.error is not None:
-                row["error"] = o.error
-            records.append(row)
+        records = [{k: v for k, v in asdict(o).items() if v is not None} for o in self.outcomes]
         return {
             "summary": {"pass": self.passed, "fail": self.failed},
             "records": records,
@@ -116,14 +103,14 @@ def _as_text(source) -> str:
         data = source.read()
     else:
         data = source.read_bytes()  # pathlib.Path
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # number lines as load_corpus does; "?" stands in for the bad byte
-        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
-        raise FormatError(f"not valid UTF-8 (byte {data[exc.start]:#04x})", line_no) from None
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # number lines as load_corpus does; "?" stands in for the bad byte
+            line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+            raise FormatError(f"not valid UTF-8 (byte {data[exc.start]:#04x})", line_no) from None
+    return data.removeprefix("\ufeff")  # a byte-order mark is no part of the first line
 
 
 def load_corpus(source) -> list:

@@ -114,6 +114,15 @@ def _cyclotomic(d: int) -> MorphPoly:
     return div_exact(MorphPoly.from_r_coeffs({d: 1, 0: -1}), below)
 
 
+@lru_cache(maxsize=None)
+def _exponents(pairs) -> Counter:
+    """{d: e_d} of prod (R^m - 1)^k over the (m, k) pairs; shared, so never mutated."""
+    exponents = Counter()
+    for m, k in pairs:
+        exponents.update(dict.fromkeys(_divisors(m), k))
+    return +exponents
+
+
 def _dictionary(max_degree: int):
     """Candidates (family, name, params, build, exponents) of degree <= max_degree, best first.
 
@@ -122,12 +131,8 @@ def _dictionary(max_degree: int):
     out = []
 
     def add(family, name, params, build, *pairs):
-        # the candidate is prod (R^m - 1)^k over its (m, k) pairs
-        exponents = Counter()
-        for m, k in pairs:
-            exponents.update(dict.fromkeys(_divisors(m), k))
         key = (-sum(m * k for m, k in pairs), _FAMILY_RANK[family])
-        out.append((key, (family, name, params, build, +exponents)))
+        out.append((key, (family, name, params, build, _exponents(pairs))))
 
     for k in range(2, max_degree + 1):
         add("SS", "SS", (k,), partial(poincare_sphere, k), (2 * k, 1), (k, -1))

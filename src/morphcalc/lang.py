@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .quantity import MorphError, MorphPoly, div_exact
+from .quantity import MorphError, MorphPoly, P, R, div_exact
 
 
 class ExprSyntaxError(MorphError):
@@ -43,23 +43,8 @@ class Nat(Expr):
 
 
 @dataclass(frozen=True)
-class SymR(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class SymRp(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class SymC(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class SymH(Expr):
-    pass
+class Sym(Expr):
+    name: str  # a key of _SYMBOLS
 
 
 @dataclass(frozen=True)
@@ -103,7 +88,7 @@ class Bracket(Expr):
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<nat>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
 
-_ATOMS = {"R": SymR, "Rp": SymRp, "C": SymC, "H": SymH}
+_SYMBOLS = {"R": R, "Rp": P, "C": R ** 2, "H": R ** 4}
 
 
 def _tokenize(source: str):
@@ -203,10 +188,9 @@ class _Parser:
         if kind == "IDENT":
             if self.peek()[0] == "(":
                 return self.catalog_call(text, pos)
-            ctor = _ATOMS.get(text)
-            if ctor is None:
+            if text not in _SYMBOLS:
                 raise UnknownName(text, pos)
-            return ctor(span=(pos, pos + len(text)))
+            return Sym(name=text, span=(pos, pos + len(text)))
         if kind == "(":
             child = self.expr()
             close = self.expect(")")
@@ -246,14 +230,8 @@ def print_expr(e: Expr) -> str:
 def _print(e: Expr) -> str:
     if isinstance(e, Nat):
         return str(e.value)
-    if isinstance(e, SymR):
-        return "R"
-    if isinstance(e, SymRp):
-        return "Rp"
-    if isinstance(e, SymC):
-        return "C"
-    if isinstance(e, SymH):
-        return "H"
+    if isinstance(e, Sym):
+        return e.name
     if isinstance(e, CatalogCall):
         return f"{e.id}({','.join(str(p) for p in e.params)})"
     if isinstance(e, Add):
@@ -287,14 +265,8 @@ def _eval(e: Expr) -> MorphPoly:
     try:
         if isinstance(e, Nat):
             return MorphPoly.constant(e.value)
-        if isinstance(e, SymR):
-            return MorphPoly.line()
-        if isinstance(e, SymRp):
-            return MorphPoly.halfline()
-        if isinstance(e, SymC):
-            return MorphPoly.line() ** 2
-        if isinstance(e, SymH):
-            return MorphPoly.line() ** 4
+        if isinstance(e, Sym):
+            return _SYMBOLS[e.name]
         if isinstance(e, CatalogCall):
             from .catalog import catalog_quantity
 

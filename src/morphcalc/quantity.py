@@ -175,9 +175,6 @@ class MorphPoly:
             raise ZeroQuantity("the zero quantity has no degree")
         return len(self._ints) - 1
 
-    def leading_p(self) -> Fraction:
-        return Fraction(self._ints[self.degree()], 1 << self._shift)
-
     # -- ring structure --------------------------------------------------
 
     @staticmethod
@@ -374,7 +371,7 @@ def dimension(q: MorphPoly) -> int:
 
 
 @dataclass(frozen=True)
-class Classification:
+class Classification:  # the field order is the order `morphcalc classify` prints
     is_object: bool
     integrable: bool
     semi_integrable: bool

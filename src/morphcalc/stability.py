@@ -19,6 +19,7 @@ from .quantity import (  # noqa: F401  (dimension is re-exported)
     classify,
     dimension,
     euler,
+    render,
 )
 
 
@@ -101,17 +102,7 @@ class NormalForm:
         return sign - sign * self.count
 
     def describe(self) -> str:
-        n = self.dimension
-        top = "R" if n == 1 else f"R^{n}"
-        if n == 0:
-            return str(self.count)
-        if self.kind == "pure_top":
-            return top if self.count == 1 else f"{self.count}*{top}"
-        low = "1" if n == 1 else ("R" if n == 2 else f"R^{n - 1}")
-        lowterm = low if self.count == 1 and n > 1 else (
-            str(self.count) if n == 1 else f"{self.count}*{low}"
-        )
-        return f"{top} + {lowterm}"
+        return render(self.quantity(), "r")
 
 
 def stable_normal_form(c) -> NormalForm:

@@ -226,6 +226,108 @@ def test_cli_divide_golden(capsys, num, den, code, stdout, stderr):
     assert capsys.readouterr().err == stderr
 
 
+# stdout, stderr and exit status of `classify`, `normal` and `verify --json`,
+# recorded from the implementation with hand-written flag lists, term casing
+# and JSON rows that the dataclass fields and `render` replaced
+_FLAGS = ("is_object={} integrable={} semi_integrable={} integer_type={} "
+          "half_integer_type={} just_another_type={}\n")
+_CLASSIFY_GOLDEN = [
+    ("1 - R", 0, "label: NotAnObject\n" + _FLAGS.format(*["no"] * 6), ""),
+    ("Rp", 0,
+     "label: HalfIntegerType\n" + _FLAGS.format("yes", "no", "yes", "no", "yes", "no"), ""),
+    ("R^2 + 2*R", 0,
+     "label: Integrable\n" + _FLAGS.format("yes", "yes", "yes", "yes", "no", "no"), ""),
+    ("RPh(2)", 0,
+     "label: SemiIntegrableIntegerType\n" + _FLAGS.format("yes", "no", "yes", "yes", "no", "no"),
+     ""),
+]
+
+
+@pytest.mark.parametrize("expr,code,stdout,stderr", _CLASSIFY_GOLDEN)
+def test_cli_classify_golden(capsys, expr, code, stdout, stderr):
+    assert _run(["classify", expr]) == (code, stdout)
+    assert capsys.readouterr().err == stderr
+
+
+_NORMAL_GOLDEN = [
+    # n = 0: count 1 and above
+    ("1", 0, "1\n", ""),
+    ("3", 0, "3\n", ""),
+    # n = 1: a*R, then R + b
+    ("R", 0, "R\n", ""),
+    ("2*R + 1", 0, "R\n", ""),
+    ("3*R", 0, "3*R\n", ""),
+    ("R + 1", 0, "R + 1\n", ""),
+    ("R + 3", 0, "R + 3\n", ""),
+    # n = 2
+    ("R^2", 0, "R^2\n", ""),
+    ("R^2 + 2*R + 2", 0, "R^2\n", ""),
+    ("3*R^2 + R", 0, "2*R^2\n", ""),
+    ("R^2 + R", 0, "R^2 + R\n", ""),
+    ("R^2 + 3*R", 0, "R^2 + 3*R\n", ""),
+    # n = 3
+    ("R^3", 0, "R^3\n", ""),
+    ("R^3 + 2*R^2 + R", 0, "R^3 + R^2\n", ""),
+    ("R^3 + 3", 0, "R^3 + 3*R^2\n", ""),
+    ("2*R^3 + R^2", 0, "R^3\n", ""),
+    ("2*R^3 + R", 0, "3*R^3\n", ""),
+    # not cell complexes
+    ("1 - R", 4, "",
+     "precondition violated: a cell complex needs non-negative integer R-coefficients "
+     "with positive leading coefficient\n"),
+    ("0", 4, "", "precondition violated: the zero quantity is not a cell complex\n"),
+]
+
+
+@pytest.mark.parametrize("expr,code,stdout,stderr", _NORMAL_GOLDEN)
+def test_cli_normal_golden(capsys, expr, code, stdout, stderr):
+    assert _run(["normal", expr]) == (code, stdout)
+    assert capsys.readouterr().err == stderr
+
+
+_VERIFY_JSON_GOLDEN = """{
+  "summary": {
+    "pass": 1,
+    "fail": 2
+  },
+  "records": [
+    {
+      "name": "good",
+      "expect": "equal",
+      "outcome": "pass",
+      "lhs": "2*R^3 + 2*R^2 + 2*R + 2",
+      "rhs": "2*R^3 + 2*R^2 + 2*R + 2"
+    },
+    {
+      "name": "wrong",
+      "expect": "equal",
+      "outcome": "fail",
+      "lhs": "R^2",
+      "rhs": "R^2 + 1/2*R - 1/2",
+      "difference": "0 - 1/2*R + 1/2"
+    },
+    {
+      "name": "broken",
+      "expect": "equal",
+      "outcome": "fail",
+      "lhs": "R/(R+1)",
+      "rhs": "1",
+      "error": "non-zero remainder 0 - 1"
+    }
+  ]
+}
+"""
+
+
+def test_cli_verify_json_golden(tmp_path, capsys):
+    path = tmp_path / "three.morph"
+    path.write_text("good ; S(3) ; == ; (R^2+1)*S(1) ; hopf\n"
+                    "wrong ; R^2 ; == ; C + Rp ; nothing\n"
+                    "broken ; R/(R+1) ; == ; 1 ; division\n")
+    assert _run(["verify", str(path), "--json"]) == (1, _VERIFY_JSON_GOLDEN)
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_parser_carries_nothing_between_calls(capsys):
     assert _run(["eval", "R^2 - 1", "--form", "mixed"]) == (0, "2*Rp*R + 2*Rp\n")
     assert _run(["eval", "R^2 - 1"]) == (0, "R^2 - 1\n")
@@ -312,6 +414,20 @@ def test_cli_verify_non_utf8_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: not valid UTF-8 (byte 0xe9)\n"
     with pytest.raises(FormatError, match="line 1: "):
         load_corpus(b"\xff ; 1 ; == ; 1 ; c\n")
+
+
+def test_cli_verify_bom_before_a_comment(tmp_path, capsys):
+    path = tmp_path / "bom.morph"
+    path.write_bytes("# saved with a byte-order mark\nx ; 1 ; == ; 1 ; one\n".encode("utf-8-sig"))
+    assert _run(["verify", str(path)]) == (0, "ok   x\npassed 1  failed 0\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_load_corpus_bom_is_not_part_of_the_first_name():
+    text = "sph ; S(1) ; == ; 2*R + 2 ; circle\n"
+    assert [r.name for r in load_corpus("\ufeff" + text)] == ["sph"]
+    assert [r.name for r in load_corpus(text.encode("utf-8-sig"))] == ["sph"]
+    assert [r.name for r in load_corpus("\ufeff\ufeff" + text)] == ["\ufeffsph"]  # only one
 
 
 def test_cli_output_determinism():

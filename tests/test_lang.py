@@ -11,10 +11,7 @@ from morphcalc.lang import (
     Nat,
     Pow,
     Sub,
-    SymC,
-    SymH,
-    SymR,
-    SymRp,
+    Sym,
     UnknownName,
     eval_expr,
     parse,
@@ -131,10 +128,10 @@ def test_print_round_trip_examples():
 def _atoms():
     return st.one_of(
         st.integers(min_value=0, max_value=9).map(lambda n: Nat(value=n)),
-        st.just(SymR()),
-        st.just(SymRp()),
-        st.just(SymC()),
-        st.just(SymH()),
+        st.just(Sym("R")),
+        st.just(Sym("Rp")),
+        st.just(Sym("C")),
+        st.just(Sym("H")),
         st.sampled_from(
             [("S", (2,)), ("RP", (3,)), ("G", (4, 2)), ("Flag", (4, 1, 2))]
         ).map(lambda t: CatalogCall(id=t[0], params=t[1])),
