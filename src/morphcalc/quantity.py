@@ -461,7 +461,9 @@ def _search_min_rep(q: MorphPoly, j_bound: int):
 
     Best means: minimal sum of coefficients on terms with p > 0, then the
     lexicographically smallest coefficient vector with terms ordered by
-    (p desc, r desc).  Bounded exhaustive search; exact at desk scale.
+    (p desc, r desc).  Exhaustive branch-and-bound, exponential in the
+    degree: the reference oracle for tests of `_dp_min_rep`, which
+    `semi_integral_minimal` calls instead.
     """
     degree = q.degree()
     if q._shift or min(q._ints) < 0:
@@ -529,16 +531,104 @@ def _search_min_rep(q: MorphPoly, j_bound: int):
     return assignment
 
 
+def _dp_min_rep(q: MorphPoly, j_bound: int):
+    """`_search_min_rep`'s answer by one dynamic program over R-degree.
+
+    Sweep r = 0..degree.  The terms chosen with R-exponent < r leave
+    q - (their sum) = R^r * E, with E an integer polynomial in Rp (E = q at
+    r = 0).  Step r takes a_p * Rp^p * R^r off for p <= J and divides the
+    rest by R = 2*Rp + 1: E - sum(a_p * Rp^p) = R * E'.  From the top down,
+    E'_(k-1) = (E_k - a_k - E'_k) / 2, so above J the quotient is forced,
+    below it each E'_(k-1) in 0..min((E_k - E'_k) // 2, E_(k-1)) fixes a_k,
+    and a_0 = E_0 - E'_0 is what remains.  Every E' must stay >= 0, because
+    the terms still to come have non-negative halfline coefficients.  All
+    states of one step share E' from index J up, so a step has at most one
+    state per E'_0..E'_(J-1).
+
+    The objective is one exact integer cost: a unit of a_(p,r) with p > 0
+    costs big + w(p, r), where w are mixed-radix weights over the bounds
+    a_(p,r) <= min_j c_(p+j) // (C(r, j) * 2^j) in (p desc, r desc) order and
+    big exceeds every sum of weights.  The cheapest path is then the
+    search's minimal p > 0 sum with its lexicographic tie-break.
+
+    A step keeps only the successors E' in which no E'_k can grow by one.
+    Growing E'_k takes 1 from a_k and 2 from a_(k+1), so it needs a_k >= 1
+    and a_(k+1) >= 2.  It saves at least 2 * big in this step and costs at
+    most big + w in the next one, where the same later choices stay open,
+    so the cheapest path never runs through the smaller E'.
+    """
+    c = q._ints
+    if q._shift or min(c) < 0:
+        return None
+    degree = len(c) - 1
+    j_bound = min(j_bound, degree)
+    weight = {}
+    big = 1
+    for p in range(1, j_bound + 1):  # least significant first: (p asc, r asc)
+        for r in range(degree - p + 1):
+            weight[p, r] = big
+            big *= min(c[p + j] // (comb(r, j) << j) for j in range(r + 1)) + 1
+
+    steps = []  # per r: E' -> (cost, E, (a_0, ..., a_top))
+    states = {tuple(c): (0, None, ())}
+    for r in range(degree + 1):
+        n = degree - r
+        top = min(j_bound, n)
+        e = next(iter(states))  # any state: they agree from index J up
+        forced = [0] * (n + 1)  # E' with the sentinel E'_n = 0
+        for k in range(n, top, -1):
+            d = e[k] - forced[k]
+            if d < 0 or d & 1:
+                return None
+            forced[k - 1] = d >> 1
+        unit = [0] + [big + weight[p, r] for p in range(1, top + 1)]
+        step = {}
+
+        def choose(k, e, new, cost, coeffs):
+            # coeffs = (a_(k+1), ..., a_top); skip E' whose E'_k could still grow
+            if k:
+                d = e[k] - new[k]
+                if d < 0:
+                    return
+                for x in range(min(d >> 1, e[k - 1]) + 1):
+                    a = d - 2 * x
+                    if a and k < top and coeffs[0] > 1:
+                        continue
+                    new[k - 1] = x
+                    choose(k - 1, e, new, cost + a * unit[k], (a, *coeffs))
+                return
+            a0 = e[0] - new[0] if n else e[0]
+            if a0 < 0 or a0 and top and coeffs[0] > 1:
+                return
+            key = tuple(new[:n])
+            old = step.get(key)
+            if old is None or cost < old[0]:
+                step[key] = (cost, e, (a0, *coeffs))
+
+        for e, (cost, _, _) in states.items():
+            choose(top, e, list(forced), cost, ())
+        if not step:
+            return None
+        steps.append(step)
+        states = step
+
+    terms = []
+    e = ()
+    for r in range(degree, -1, -1):
+        _, e, coeffs = steps[r][e]
+        terms.extend((p, r, a) for p, a in enumerate(coeffs) if a)
+    return tuple(sorted(terms, reverse=True))
+
+
 def semi_integral_minimal(q: MorphPoly) -> SemiIntegralForm:
-    """The minimal-j halfline representation of a semi-integrable quantity."""
-    cls = classify(q)
-    if not cls.semi_integrable:
+    """The minimal-j halfline representation of a semi-integrable quantity.
+
+    Tries j = 0, 1, ... with `_dp_min_rep`; the first feasible bound wins.
+    """
+    if not classify(q).semi_integrable:
         raise NotSemiIntegrable(f"{render(q, 'r')} is not semi-integrable")
-    degree = q.degree()
-    for j in range(degree + 1):
-        if j == 0 and not cls.integrable:
-            continue
-        found = _search_min_rep(q, j)
+    for j in range(q.degree() + 1):
+        found = _dp_min_rep(q, j)
         if found is not None:
             j_max = max((p for p, _, _ in found), default=0)
             return SemiIntegralForm(terms=found, j_max=j_max)

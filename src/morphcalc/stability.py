@@ -52,7 +52,13 @@ class CellComplex:
             n = max(rc)
             self._by_exp = tuple(int(rc.get(j, 0)) for j in range(n + 1))
             return
-        coeffs = [int(c) for c in source]  # leading first
+        source = list(source)  # leading first
+        try:
+            coeffs = [int(c) for c in source]
+        except (TypeError, ValueError, OverflowError):
+            coeffs = None
+        if coeffs != source:
+            raise InvalidComplex("cell counts must be integers")
         if not coeffs or coeffs[0] < 1 or any(c < 0 for c in coeffs):
             raise InvalidComplex("leading coefficient must be >= 1, the rest >= 0")
         self._by_exp = tuple(reversed(coeffs))

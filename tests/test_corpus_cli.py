@@ -158,6 +158,12 @@ def test_cli_eval_forms():
     assert code == 0 and text.strip() == "2*Rp*R^3 + 2*Rp*R + 1"
 
 
+def test_cli_eval_mixed_degree_5():
+    # the exhaustive search did not finish on this input in 60 s
+    assert _run(["eval", "3*Rp^2*R^2 + 2*R^5", "--form", "mixed"]) == (
+        0, "3*Rp^2*R^2 + 2*R^5\n")
+
+
 def test_cli_eval_g73():
     code, text = _run(["eval", "G(7,3)", "--form", "r"])
     assert code == 0
@@ -448,3 +454,14 @@ def test_cli_repl(monkeypatch):
     lines = text.splitlines()
     assert "2*R + 2" in lines
     assert "4*Rp + 4" in lines
+
+
+def test_cli_repl_mixed_form(monkeypatch):
+    import sys
+
+    monkeypatch.setattr(
+        sys, "stdin", io.StringIO(":form mixed\n3*Rp^2*R^2 + 2*R^5\n:quit\n")
+    )
+    code, text = _run(["repl"])
+    assert code == 0
+    assert "3*Rp^2*R^2 + 2*R^5" in text.splitlines()

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from morphcalc.quantity import (
     render,
     semi_integral_minimal,
 )
+from morphcalc.quantity import _dp_min_rep, _search_min_rep
 from morphcalc.lang import eval_expr, parse
 
 R = MorphPoly.line()
@@ -235,6 +238,56 @@ def test_semi_integral_integrable_is_j0():
 def test_semi_integral_rejects():
     with pytest.raises(NotSemiIntegrable):
         semi_integral_minimal(R - 2)
+
+
+def test_semi_integral_phantoms_pinned():
+    # the exhaustive search took about 1 s on RPh(10) and 12 times longer per step
+    for m in (10, 12):
+        text = " + ".join(f"2*Rp*R^{r}" for r in range(m - 1, 1, -2)) + " + 2*Rp*R + 1"
+        assert render(eval_expr(parse(f"RPh({m})")), "mixed") == text
+
+
+def test_dp_matches_search_oracle_to_degree_4():
+    # every semi-integrable quantity of degree <= 4 with Rp-coefficients 0..3,
+    # at every halfline bound, including the infeasible ones (None)
+    pairs = 0
+    for coeffs in itertools.product(range(4), repeat=5):
+        if not any(coeffs):
+            continue
+        q = MorphPoly(dict(enumerate(coeffs)))
+        for j in range(q.degree() + 1):
+            assert _dp_min_rep(q, j) == _search_min_rep(q, j), (coeffs, j)
+            pairs += 1
+    assert pairs == 4779
+
+
+def test_dp_matches_search_oracle_degree_5_draws():
+    # degree 5 with Rp-coefficients 0..3, where the exhaustive search still
+    # finishes in milliseconds; sums of R^5-sized terms can take it minutes
+    rng = random.Random(5)
+    for _ in range(100):
+        coeffs = [rng.randint(0, 3) for _ in range(5)] + [rng.randint(1, 3)]
+        q = MorphPoly(dict(enumerate(coeffs)))
+        for j in range(6):
+            assert _dp_min_rep(q, j) == _search_min_rep(q, j), (coeffs, j)
+
+
+def test_dp_matches_search_oracle_outside_semi_integrable():
+    for q in (P - 1, P * Fraction(1, 2), R - 2, 1 - R):
+        for j in range(q.degree() + 1):
+            assert _dp_min_rep(q, j) is _search_min_rep(q, j) is None
+
+
+def test_dp_on_inputs_the_search_cannot_finish():
+    # the exhaustive search did not finish on any of these in 60 s
+    cases = [
+        (3 * P ** 2 * R ** 2 + 2 * R ** 5, ((2, 2, 3), (0, 5, 2))),
+        (P ** 3 * R ** 3 + R ** 6, ((3, 3, 1), (0, 6, 1))),
+        (MorphPoly(dict(enumerate((2, 20, 80, 160, 161, 66)))), ((4, 1, 1), (0, 5, 2))),
+    ]
+    for q, terms in cases:
+        form = semi_integral_minimal(q)
+        assert form.terms == terms and form.quantity() == q
 
 
 def _brute_has_representation(q, max_p=None):

@@ -23,6 +23,17 @@ def test_dimension():
     assert dimension(MorphPoly.constant(7)) == 0
 
 
+def test_cell_complex_rejects_non_integral_counts():
+    from fractions import Fraction
+
+    for coeffs in ([Fraction(3, 2)], [1.9, 0.9], [1, 0.5], ["1"], [float("inf")], [None]):
+        with pytest.raises(InvalidComplex):
+            CellComplex(coeffs)
+    with pytest.raises(InvalidComplex):
+        stable_normal_form([1.9, 0.9])
+    assert CellComplex([Fraction(4, 2), 1.0]).coefficients == (2, 1)
+
+
 def test_cell_complex_validation():
     c = CellComplex(3 * R + 4)
     assert c.coefficients == (3, 4)
