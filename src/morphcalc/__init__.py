@@ -26,10 +26,8 @@ from .catalog import (
     catalog_entry,
     catalog_quantity,
     gaussian_binomial,
-    hopf_family,
     registry_table,
     schubert_cells,
-    sphere_addition,
 )
 from .factorize import (
     FactorizationResult,
@@ -42,7 +40,9 @@ from .corpus import (
     IdentityRecord,
     VerifyReport,
     bivector_audit,
+    hopf_family,
     load_corpus,
+    sphere_addition,
     verify_corpus,
 )
 

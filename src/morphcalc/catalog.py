@@ -1,11 +1,11 @@
 """Catalog of named quantities for the classical manifolds and groups.
 
-Every entry is a constructor from integer parameters to an exact quantity.
+Every entry is a constructor called with the integer parameters its arity
+names (`p,q,k` calls `build(p, q, k)`), returning an exact quantity.
 Quotient-defined entries run through exact division on purpose: a transcription
 slip then surfaces as InternalDivisionFailed instead of a silently wrong
 polynomial.  Independent combinatorial oracles (Schubert cell enumeration and
-the Gaussian binomial recurrence) live here as well, next to the identity
-families they cross-check.
+the Gaussian binomial recurrence) live here as well.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, pairwise
+from math import prod
 
 from .quantity import (
     MorphError,
@@ -23,7 +24,6 @@ from .quantity import (
     P,
     R,
     div_exact,
-    render,
 )
 
 
@@ -71,10 +71,7 @@ def phantom(n: int, step: int = 1) -> MorphPoly:
 
 
 def _product(factors) -> MorphPoly:
-    total = MorphPoly.constant(1)
-    for f in factors:
-        total = total * f
-    return total
+    return prod(factors, start=MorphPoly.constant(1))
 
 
 @lru_cache(maxsize=None)
@@ -230,114 +227,83 @@ def _validity_check(arity: str, validity: str):
 
 def _specs():
     rows = [
-        ("S", "n", "n >= 0", "round sphere: two cells per dimension",
-         lambda ps: sphere(ps[0])),
-        ("SS", "n", "n >= 0", "stereographic sphere R^n + 1",
-         lambda ps: poincare_sphere(ps[0])),
-        ("RP", "n", "n >= 0", "real projective space",
-         lambda ps: projective(ps[0], 1)),
-        ("CP", "n", "n >= 0", "complex projective space",
-         lambda ps: projective(ps[0], 2)),
-        ("HP", "n", "n >= 0", "quaternionic projective space",
-         lambda ps: projective(ps[0], 4)),
-        ("RPh", "n", "even n >= 0", "phantom real projective space",
-         lambda ps: phantom(ps[0], 1)),
+        ("S", "n", "n >= 0", "round sphere: two cells per dimension", sphere),
+        ("SS", "n", "n >= 0", "stereographic sphere R^n + 1", poincare_sphere),
+        ("RP", "n", "n >= 0", "real projective space", lambda n: projective(n, 1)),
+        ("CP", "n", "n >= 0", "complex projective space", lambda n: projective(n, 2)),
+        ("HP", "n", "n >= 0", "quaternionic projective space", lambda n: projective(n, 4)),
+        ("RPh", "n", "even n >= 0", "phantom real projective space", lambda n: phantom(n, 1)),
         ("CPh", "n", "even n >= 0", "phantom complex projective space",
-         lambda ps: phantom(ps[0], 2)),
+         lambda n: phantom(n, 2)),
         ("HPh", "n", "even n >= 0", "phantom quaternionic projective space",
-         lambda ps: phantom(ps[0], 4)),
-        ("O", "n", "n >= 0", "orthogonal group as nested frame spheres",
-         lambda ps: orthogonal(ps[0])),
-        ("SO", "n", "n >= 1", "special orthogonal group",
-         lambda ps: special_orthogonal(ps[0])),
-        ("GL", "n", "n >= 0", "general linear group",
-         lambda ps: general_linear(ps[0])),
+         lambda n: phantom(n, 4)),
+        ("O", "n", "n >= 0", "orthogonal group as nested frame spheres", orthogonal),
+        ("SO", "n", "n >= 1", "special orthogonal group", special_orthogonal),
+        ("GL", "n", "n >= 0", "general linear group", general_linear),
         ("SL", "n", "n >= 1", "special linear group GL(n)/(R - 1)",
-         lambda ps: div_exact(general_linear(ps[0]), R - 1)),
+         lambda n: div_exact(general_linear(n), R - 1)),
         ("SOpq", "p,q", "p >= 1, q >= 1", "pseudo-orthogonal group O(p)*SO(q)*R^(p*q)",
-         lambda ps: orthogonal(ps[0]) * special_orthogonal(ps[1]) * R ** (ps[0] * ps[1])),
-        ("U", "n", "n >= 0", "unitary group: odd spheres",
-         lambda ps: unitary(ps[0])),
-        ("SU", "n", "n >= 1", "special unitary group",
-         lambda ps: special_unitary(ps[0])),
+         lambda p, q: orthogonal(p) * special_orthogonal(q) * R ** (p * q)),
+        ("U", "n", "n >= 0", "unitary group: odd spheres", unitary),
+        ("SU", "n", "n >= 1", "special unitary group", special_unitary),
         ("Cstr", "n", "n >= 1", "complex structures SO(2n)/U(n): even spheres",
-         lambda ps: _product(sphere(2 * j) for j in range(1, ps[0]))),
+         lambda n: _product(sphere(2 * j) for j in range(1, n))),
         ("Upq", "p,q", "p >= 1, q >= 1", "pseudo-unitary frames with flat factors",
-         lambda ps: _product(sphere(2 * j - 1) * R ** (2 * ps[1]) for j in range(1, ps[0] + 1))
-         * unitary(ps[1])),
-        ("Sp", "n", "n >= 0", "compact symplectic group: quaternionic frames",
-         lambda ps: symplectic(ps[0])),
-        ("Spin", "m", "m in 3..6", "spin group via low-dimensional isomorphisms",
-         lambda ps: spin(ps[0])),
+         lambda p, q: _product(sphere(2 * j - 1) * R ** (2 * q) for j in range(1, p + 1))
+         * unitary(q)),
+        ("Sp", "n", "n >= 0", "compact symplectic group: quaternionic frames", symplectic),
+        ("Spin", "m", "m in 3..6", "spin group via low-dimensional isomorphisms", spin),
         ("SOspin", "m", "m in 3..6", "rotation group as Spin(m)/2",
-         lambda ps: div_exact(spin(ps[0]), MorphPoly.constant(2))),
-        ("V", "n,k", "0 <= k <= n", "Stiefel manifold of orthonormal k-frames",
-         lambda ps: stiefel(ps[0], ps[1])),
-        ("VL", "n,k", "0 <= k <= n", "linearly independent k-frames",
-         lambda ps: stiefel_linear(ps[0], ps[1])),
+         lambda m: div_exact(spin(m), MorphPoly.constant(2))),
+        ("V", "n,k", "0 <= k <= n", "Stiefel manifold of orthonormal k-frames", stiefel),
+        ("VL", "n,k", "0 <= k <= n", "linearly independent k-frames", stiefel_linear),
         ("G", "n,k", "0 <= k <= n", "real Grassmannian of k-planes",
-         lambda ps: grassmannian(ps[0], ps[1], 1)),
-        ("Gor", "n,k", "1 <= k <= n", "oriented Grassmannian",
-         lambda ps: oriented_grassmannian(ps[0], ps[1])),
-        ("Gc", "n,k", "0 <= k <= n", "complex Grassmannian",
-         lambda ps: grassmannian(ps[0], ps[1], 2)),
+         lambda n, k: grassmannian(n, k, 1)),
+        ("Gor", "n,k", "1 <= k <= n", "oriented Grassmannian", oriented_grassmannian),
+        ("Gc", "n,k", "0 <= k <= n", "complex Grassmannian", lambda n, k: grassmannian(n, k, 2)),
         ("Gh", "n,k", "0 <= k <= n", "quaternionic Grassmannian",
-         lambda ps: grassmannian(ps[0], ps[1], 4)),
+         lambda n, k: grassmannian(n, k, 4)),
         ("Flag", "n,k1..ks", "0 < k1 < .. < ks < n", "flag manifold as nested Grassmannians",
-         lambda ps: _flag(ps[0], ps[1:])),
+         lambda n, *ks: _product(grassmannian(a, b, 1) for a, b in pairwise((n, *ks[::-1])))),
         ("NC", "n", "n >= 2", "nullcone 1 + S(n-1)*S(n-2)*Rp",
-         lambda ps: 1 + sphere(ps[0] - 1) * sphere(ps[0] - 2) * P),
+         lambda n: 1 + sphere(n - 1) * sphere(n - 2) * P),
         ("CS", "m", "m >= 0", "complex sphere: sphere tangent bundle S(m)*R^m",
-         lambda ps: sphere(ps[0]) * R ** ps[0]),
+         lambda m: sphere(m) * R ** m),
         ("CSbar", "m", "m >= 0", "compact complex sphere S(m+1)*S(m)/S(1)",
-         lambda ps: compact_complex_sphere(ps[0])),
-        ("CSS", "m", "m >= 0", "complex sphere, complex-coordinate count",
-         lambda ps: conic_open(ps[0])),
+         compact_complex_sphere),
+        ("CSS", "m", "m >= 0", "complex sphere, complex-coordinate count", conic_open),
         ("CSSbar", "m", "m >= 0", "compactified complex sphere, complex-coordinate count",
-         lambda ps: conic_compactification(ps[0])),
+         conic_compactification),
         ("Spq", "a,b", "a, b >= 0", "projectivized nullcone S(a)*RP(b)",
-         lambda ps: sphere(ps[0]) * projective(ps[1], 1)),
+         lambda a, b: sphere(a) * projective(b, 1)),
         ("Rbar", "p,q", "p >= q >= 0", "conformal compactification of flat signature space",
-         lambda ps: conformal_compactification(ps[0], ps[1])),
+         conformal_compactification),
         ("NG", "p,q,k", "p >= q >= k >= 1", "null Grassmannian G(p,k)*S(q-1)..S(q-k)",
-         lambda ps: grassmannian(ps[0], ps[2], 1)
-         * _product(sphere(ps[1] - j) for j in range(1, ps[2] + 1))),
+         lambda p, q, k: grassmannian(p, k, 1) * _product(sphere(q - j) for j in range(1, k + 1))),
         ("NGs", "p,q,k", "p >= q >= k >= 1", "stereographic null Grassmannian",
-         lambda ps: grassmannian(ps[1], ps[2], 1)
-         * _product(poincare_sphere(ps[0] - j) for j in range(1, ps[2] + 1))),
+         lambda p, q, k: grassmannian(q, k, 1)
+         * _product(poincare_sphere(p - j) for j in range(1, k + 1))),
         ("NGn", "n,k", "n >= 2k >= 2", "null planes in complex n-space",
-         lambda ps: div_exact(
-             _product(sphere(ps[0] - j) for j in range(1, 2 * ps[1] + 1)),
-             unitary(ps[1]))),
+         lambda n, k: div_exact(_product(sphere(n - j) for j in range(1, 2 * k + 1)), unitary(k))),
         ("NGns", "n,k", "n >= 2k >= 2", "stereographic null planes in complex n-space",
-         lambda ps: div_exact(
-             _product(conic_compactification(ps[0] - 2 * j) for j in range(1, ps[1] + 1)),
-             _product(projective(i, 2) for i in range(1, ps[1])))),
+         lambda n, k: div_exact(
+             _product(conic_compactification(n - 2 * j) for j in range(1, k + 1)),
+             _product(projective(i, 2) for i in range(1, k)))),
         ("T", "p,q", "p, q >= 1", "twistor space S(2p-1)*CP(q-1)",
-         lambda ps: sphere(2 * ps[0] - 1) * projective(ps[1] - 1, 2)),
-        ("TT", "p,q", "p >= q >= 1", "stereographic twistor space",
-         lambda ps: twistor_stereographic(ps[0], ps[1])),
+         lambda p, q: sphere(2 * p - 1) * projective(q - 1, 2)),
+        ("TT", "p,q", "p >= q >= 1", "stereographic twistor space", twistor_stereographic),
         ("NGc", "p,q,k", "p >= q >= k >= 1", "null planes for the pseudo-hermitian form",
-         lambda ps: div_exact(
-             _product(sphere(2 * ps[0] - 2 * j + 1) * sphere(2 * ps[1] - 2 * j + 1)
-                      for j in range(1, ps[2] + 1)),
-             unitary(ps[2]))),
+         lambda p, q, k: div_exact(
+             _product(sphere(2 * p - 2 * j + 1) * sphere(2 * q - 2 * j + 1)
+                      for j in range(1, k + 1)),
+             unitary(k))),
         ("NGcs", "p,q,k", "p >= q >= k >= 1", "stereographic pseudo-hermitian null planes",
-         lambda ps: _product(poincare_sphere(2 * ps[0] - 2 * j + 1)
-                             for j in range(1, ps[2] + 1))
-         * grassmannian(ps[1], ps[2], 2)),
+         lambda p, q, k: _product(poincare_sphere(2 * p - 2 * j + 1) for j in range(1, k + 1))
+         * grassmannian(q, k, 2)),
         ("LS", "p", "p >= 1", "Lie sphere S(p-1)*RP(1)",
-         lambda ps: sphere(ps[0] - 1) * projective(1, 1)),
+         lambda p: sphere(p - 1) * projective(1, 1)),
     ]
     return [EntrySpec(i, a, v, c, _validity_check(a, v), bld) for i, a, v, c, bld in rows]
-
-
-def _flag(n, ks):
-    chain = list(ks) + [n]
-    total = MorphPoly.constant(1)
-    for i in range(len(chain) - 1, 0, -1):
-        total = total * grassmannian(chain[i], chain[i - 1], 1)
-    return total
 
 
 _REGISTRY = {spec.id.lower(): spec for spec in _specs()}
@@ -370,7 +336,7 @@ def catalog_entry(entry_id: str, params) -> CatalogEntry:
             f"{spec.id}({spec.arity}) needs {spec.validity}; got {list(params)}"
         )
     try:
-        q = spec.build(params)
+        q = spec.build(*params)
     except NonZeroRemainder as exc:
         raise InternalDivisionFailed(
             f"{spec.id}{list(params)}: internal exact division failed: {exc}"
@@ -405,49 +371,3 @@ def gaussian_binomial(n: int, k: int) -> MorphPoly:
     if k == 0 or k == n:
         return MorphPoly.constant(1)
     return gaussian_binomial(n - 1, k - 1) + R ** k * gaussian_binomial(n - 1, k)
-
-
-# -- identity families ----------------------------------------------------
-
-
-def _identity(name: str, lhs: str, rhs: str, citation: str):
-    """The corpus record `name ; lhs ; == ; rhs ; citation`."""
-    from .corpus import load_corpus  # local import: corpus builds on the catalog
-
-    (record,) = load_corpus(f"{name} ; {lhs} ; == ; {rhs} ; {citation}")
-    return record
-
-
-def sphere_addition(p: int, q: int, r: int = None):
-    """The sphere addition identity for a (p, q[, r]) block split, as a corpus record."""
-    if p < 1 or q < 1 or (r is not None and r < 1):
-        raise BadParams("sphere_addition needs positive block sizes")
-    if r is None:
-        lhs = f"S({p + q - 1})"
-        rhs = (
-            f"S({p - 1})*S({q - 1})*Rp + S({p - 1}) + S({q - 1})"
-        )
-        name = f"sphere-addition-{p}-{q}"
-    else:
-        lhs = f"S({p + q + r - 1})"
-        pairs = [
-            f"S({p - 1})*S({q - 1})*Rp",
-            f"S({p - 1})*S({r - 1})*Rp",
-            f"S({q - 1})*S({r - 1})*Rp",
-        ]
-        rhs = (
-            f"S({p - 1})*S({q - 1})*S({r - 1})*Rp^2 + "
-            + " + ".join(pairs)
-            + f" + S({p - 1}) + S({q - 1}) + S({r - 1})"
-        )
-        name = f"sphere-addition-{p}-{q}-{r}"
-    return _identity(name, lhs, rhs, "sphere addition")
-
-
-def hopf_family(s: int, k: int):
-    """The repeated-suspension factorization S((s+1)k - 1) = (R^(sk) + .. + R^k + 1)*S(k-1)."""
-    if s < 1 or k < 1:
-        raise BadParams("hopf_family needs s >= 1 and k >= 1")
-    lhs = f"S({(s + 1) * k - 1})"
-    rhs = f"({render(projective(s, k), 'r')})*S({k - 1})"
-    return _identity(f"hopf-{s}-{k}", lhs, rhs, "hopf factorization")

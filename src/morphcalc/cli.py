@@ -249,6 +249,8 @@ def run(argv, out=None) -> int:
 
 
 def main():
+    if hasattr(sys, "set_int_max_str_digits"):  # an exact result prints every digit
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

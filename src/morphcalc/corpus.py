@@ -7,7 +7,8 @@ Format, one record per line, fields separated by " ; ":
 Lines starting with '#' and blank lines are skipped.  Records may expect the
 two sides to be unequal; those guard against identifications the calculus
 forbids.  The verifier never aborts on a bad record: evaluation errors are
-reported as failures with diagnostics.
+reported as failures with diagnostics.  `sphere_addition` and `hopf_family`
+build records of this format.
 """
 
 from __future__ import annotations
@@ -182,6 +183,50 @@ def verify_corpus(records) -> VerifyReport:
     return VerifyReport(outcomes=tuple(verify_record(r) for r in records))
 
 
+# -- identity families ----------------------------------------------------
+
+
+def _identity(name: str, lhs: str, rhs: str, citation: str):
+    """The corpus record `name ; lhs ; == ; rhs ; citation`."""
+    (record,) = load_corpus(f"{name} ; {lhs} ; == ; {rhs} ; {citation}")
+    return record
+
+
+def sphere_addition(p: int, q: int, r: int = None):
+    """The sphere addition identity for a (p, q[, r]) block split, as a corpus record."""
+    if p < 1 or q < 1 or (r is not None and r < 1):
+        raise BadParams("sphere_addition needs positive block sizes")
+    if r is None:
+        lhs = f"S({p + q - 1})"
+        rhs = (
+            f"S({p - 1})*S({q - 1})*Rp + S({p - 1}) + S({q - 1})"
+        )
+        name = f"sphere-addition-{p}-{q}"
+    else:
+        lhs = f"S({p + q + r - 1})"
+        pairs = [
+            f"S({p - 1})*S({q - 1})*Rp",
+            f"S({p - 1})*S({r - 1})*Rp",
+            f"S({q - 1})*S({r - 1})*Rp",
+        ]
+        rhs = (
+            f"S({p - 1})*S({q - 1})*S({r - 1})*Rp^2 + "
+            + " + ".join(pairs)
+            + f" + S({p - 1}) + S({q - 1}) + S({r - 1})"
+        )
+        name = f"sphere-addition-{p}-{q}-{r}"
+    return _identity(name, lhs, rhs, "sphere addition")
+
+
+def hopf_family(s: int, k: int):
+    """The repeated-suspension factorization S((s+1)k - 1) = (R^(sk) + .. + R^k + 1)*S(k-1)."""
+    if s < 1 or k < 1:
+        raise BadParams("hopf_family needs s >= 1 and k >= 1")
+    lhs = f"S({(s + 1) * k - 1})"
+    rhs = f"({render(projective(s, k), 'r')})*S({k - 1})"
+    return _identity(f"hopf-{s}-{k}", lhs, rhs, "hopf factorization")
+
+
 # -- bivector partition audit ---------------------------------------------
 
 
@@ -211,9 +256,7 @@ def bivector_audit(n: int):
         ]
     else:
         raise BadParams("bivector audit is worked out for n in {3, 4, 5}")
-    partition_sum = MorphPoly.zero()
-    for part in parts:
-        partition_sum = partition_sum + part
+    partition_sum = sum(parts, MorphPoly.zero())
     whole = R ** (n * (n - 1) // 2) - 1
     gap = partition_sum - whole
     return partition_sum, whole, gap

@@ -284,8 +284,8 @@ def periodicity_scan(k: int, n_range) -> PeriodicityReport:
     if k not in (2, 3):
         raise BadParams("periodicity_scan handles k = 2 and k = 3")
     lo, hi = min(n_range), max(n_range)
-    if lo <= k or hi > 16:
-        raise BadParams("range must stay within k < n <= 16")
+    if lo <= k:
+        raise BadParams("range must stay within k < n")
     entries = []
     sigs = {}
     for n in range(lo, hi + 1):

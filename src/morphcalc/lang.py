@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import prod
 
+from .catalog import _REGISTRY, catalog_quantity
 from .quantity import MorphError, MorphPoly, P, R, div_exact
 
 
@@ -148,10 +150,8 @@ class _Parser:
             right = self.term()
             end = right.span[1]
             if op[0] == "+":
-                if isinstance(node, Add):
-                    node = Add(items=node.items + (right,), span=(start, end))
-                else:
-                    node = Add(items=(node, right), span=(start, end))
+                items = node.items if isinstance(node, Add) else (node,)
+                node = Add(items=items + (right,), span=(start, end))
             else:
                 node = Sub(left=node, right=right, span=(start, end))
         return node
@@ -164,10 +164,8 @@ class _Parser:
             right = self.factor()
             end = right.span[1]
             if op[0] == "*":
-                if isinstance(node, Mul):
-                    node = Mul(items=node.items + (right,), span=(start, end))
-                else:
-                    node = Mul(items=(node, right), span=(start, end))
+                items = node.items if isinstance(node, Mul) else (node,)
+                node = Mul(items=items + (right,), span=(start, end))
             else:
                 node = Div(num=node, den=right, span=(start, end))
         return node
@@ -198,8 +196,6 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
     def catalog_call(self, name, pos):
-        from .catalog import _REGISTRY
-
         if name.lower() not in _REGISTRY or _REGISTRY[name.lower()].id != name:
             raise UnknownName(name, pos)
         self.expect("(")
@@ -268,21 +264,13 @@ def _eval(e: Expr) -> MorphPoly:
         if isinstance(e, Sym):
             return _SYMBOLS[e.name]
         if isinstance(e, CatalogCall):
-            from .catalog import catalog_quantity
-
             return catalog_quantity(e.id, e.params)
         if isinstance(e, Add):
-            total = MorphPoly.zero()
-            for item in e.items:
-                total = total + _eval(item)
-            return total
+            return sum(map(_eval, e.items), MorphPoly.zero())
         if isinstance(e, Sub):
             return _eval(e.left) - _eval(e.right)
         if isinstance(e, Mul):
-            total = MorphPoly.constant(1)
-            for item in e.items:
-                total = total * _eval(item)
-            return total
+            return prod(map(_eval, e.items), start=MorphPoly.constant(1))
         if isinstance(e, Div):
             return div_exact(_eval(e.num), _eval(e.den))
         if isinstance(e, Pow):

@@ -94,7 +94,6 @@ def _normalised(ints, shift) -> "MorphPoly":
     q = MorphPoly.__new__(MorphPoly)
     q._ints = tuple(ints)
     q._shift = shift
-    q._hash = None
     return q
 
 
@@ -105,12 +104,11 @@ class MorphPoly:
     trailing zeros in c and an odd c[i] whenever s > 0.
     """
 
-    __slots__ = ("_ints", "_shift", "_hash")
+    __slots__ = ("_ints", "_shift")
 
     def __init__(self, p_coeffs=None):
         ints, self._shift = _dyadic_ints(p_coeffs)
         self._ints = tuple(ints)
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -254,6 +252,12 @@ class MorphPoly:
             return NotImplemented
         return div_exact(self, other)
 
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return div_exact(other, self)
+
     def __eq__(self, other):
         if isinstance(other, Fraction) and other.denominator & (other.denominator - 1):
             return False  # a non power-of-two denominator is no quantity's value
@@ -263,13 +267,10 @@ class MorphPoly:
         return self._ints == other._ints and self._shift == other._shift
 
     def __hash__(self):
-        if self._hash is None:
-            c = self._ints
-            if len(c) <= 1:  # a constant equals its value, so hashes as it
-                self._hash = hash(Fraction(c[0], 1 << self._shift) if c else 0)
-            else:
-                self._hash = hash((c, self._shift))
-        return self._hash
+        c = self._ints
+        if len(c) <= 1:  # a constant equals its value, so hashes as it
+            return hash(Fraction(c[0], 1 << self._shift) if c else 0)
+        return hash((c, self._shift))
 
     def __bool__(self):
         return bool(self._ints)
@@ -442,10 +443,8 @@ class SemiIntegralForm:
     j_max: int
 
     def quantity(self) -> MorphPoly:
-        total = MorphPoly.zero()
-        for p, r, c in self.terms:
-            total = total + MorphPoly({p: c}) * MorphPoly.from_r_coeffs({r: 1})
-        return total
+        return sum((MorphPoly({p: c}) * MorphPoly.from_r_coeffs({r: 1}) for p, r, c in self.terms),
+                   MorphPoly.zero())
 
 
 def _term_vector(p, r, degree):

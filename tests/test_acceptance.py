@@ -13,10 +13,9 @@ import morphcalc
 from morphcalc.catalog import (
     gaussian_binomial,
     schubert_cells,
-    sphere_addition,
 )
 from morphcalc.cli import run as cli_run
-from morphcalc.corpus import bivector_audit, load_corpus, verify_corpus
+from morphcalc.corpus import bivector_audit, load_corpus, sphere_addition, verify_corpus
 from morphcalc.factorize import (
     factor_into_catalog,
     grassmann_divide,

@@ -1,18 +1,20 @@
+import inspect
+
 import pytest
 
 from morphcalc.catalog import (
+    _REGISTRY,
     BadParams,
     UnknownEntry,
     catalog_entry,
     catalog_quantity,
     gaussian_binomial,
-    hopf_family,
     lookup,
     registry_table,
     schubert_cells,
     sphere,
-    sphere_addition,
 )
+from morphcalc.corpus import hopf_family, sphere_addition
 from morphcalc.lang import eval_expr
 from morphcalc.quantity import MorphPoly, classify, dimension, euler
 
@@ -178,6 +180,18 @@ def test_degree_sanity():
 def test_euler_of_complex_projective_spaces():
     for n in range(9):
         assert euler(catalog_quantity("cp", [n])) == n + 1
+
+
+def test_builders_take_the_parameters_their_arity_names():
+    def names(build):
+        for p in inspect.signature(build).parameters.values():
+            if p.kind is p.VAR_POSITIONAL:
+                yield f"k1..{p.name}"
+            elif p.default is p.empty:
+                yield p.name
+
+    mismatched = [s.id for s in _REGISTRY.values() if ",".join(names(s.build)) != s.arity]
+    assert mismatched == []
 
 
 def test_flag_consistency():

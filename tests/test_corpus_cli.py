@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -443,9 +447,28 @@ def test_cli_output_determinism():
     )
 
 
-def test_cli_repl(monkeypatch):
-    import sys
+def _run_process(*argv):
+    """Run `python -m morphcalc.cli` as its own process: (exit code, stdout, stderr)."""
+    src = str(Path(morphcalc.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "morphcalc.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
+
+def test_cli_process_prints_every_digit_of_a_large_result():
+    code, out, err = _run_process("eval", "7^6000")
+    digits = out.strip()
+    assert (code, err) == (0, "")
+    assert digits.isdigit() and len(digits) == 5071
+    assert int(digits[-30:]) == pow(7, 6000, 10 ** 30)
+
+
+def test_cli_process_echoes_a_5000_digit_literal():
+    literal = "9" * 5000
+    assert _run_process("eval", literal) == (0, f"{literal}\n", "")
+
+
+def test_cli_repl(monkeypatch):
     monkeypatch.setattr(
         sys, "stdin", io.StringIO("S(1)\n:form p\nS(1)\nR^-1\n:quit\n")
     )
@@ -457,8 +480,6 @@ def test_cli_repl(monkeypatch):
 
 
 def test_cli_repl_mixed_form(monkeypatch):
-    import sys
-
     monkeypatch.setattr(
         sys, "stdin", io.StringIO(":form mixed\n3*Rp^2*R^2 + 2*R^5\n:quit\n")
     )

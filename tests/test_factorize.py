@@ -179,6 +179,11 @@ def test_periodicity_k3():
         assert sigs[n] == sigs[n + 6]
 
 
+def test_periodicity_holds_out_to_n_40():
+    assert periodicity_scan(2, (4, 40)).period == 2
+    assert periodicity_scan(3, (6, 40)).period == 6
+
+
 def test_periodicity_g32_case():
     report = periodicity_scan(2, (3, 5))
     sigs = dict((n, s) for n, s, _ in report.entries)

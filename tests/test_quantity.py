@@ -122,6 +122,13 @@ def test_div_exact_non_dyadic_quotient():
     assert div_exact(MorphPoly.constant(7), MorphPoly.constant(2)) == Fraction(7, 2)
 
 
+def test_number_over_quantity_divides_exactly():
+    assert 2 / MorphPoly.constant(2) == 1
+    assert 4 / MorphPoly.constant(8) == Fraction(1, 2)
+    with pytest.raises(NonZeroRemainder):
+        1 / (R + 1)
+
+
 def test_div_by_zero():
     with pytest.raises(DivisionByZero):
         div_exact(R, MorphPoly.zero())
