@@ -4,8 +4,11 @@ Every entry is a constructor called with the integer parameters its arity
 names (`p,q,k` calls `build(p, q, k)`), returning an exact quantity.
 Quotient-defined entries run through exact division on purpose: a transcription
 slip then surfaces as InternalDivisionFailed instead of a silently wrong
-polynomial.  Independent combinatorial oracles (Schubert cell enumeration and
-the Gaussian binomial recurrence) live here as well.
+polynomial.  Spheres, projective and phantom spaces and Grassmannians are
+quotients of factors R^m - 1, divided exactly in the R basis, where each
+division is one pass over small integers and still raises on a remainder.
+Independent combinatorial oracles (Schubert cell enumeration and the Gaussian
+binomial recurrence) live here as well.
 """
 
 from __future__ import annotations
@@ -39,19 +42,49 @@ class InternalDivisionFailed(MorphError):
     pass
 
 
+def _r_power_quotient(pairs, scale: int = 1) -> MorphPoly:
+    """scale * prod (R^m - 1)^k over the (m, k) pairs, built on R-coefficients.
+
+    Every factor with k > 0 is multiplied in first, so each division after it
+    is exact whenever the whole quotient is a polynomial; a division that
+    leaves a remainder raises NonZeroRemainder.
+    """
+    if any(m < 1 for m, _ in pairs):
+        raise BadParams("a factor R^m - 1 needs m >= 1")
+    c = [scale]  # c[i] is the coefficient of R^i
+    for m, k in pairs:
+        for _ in range(k):  # times R^m - 1
+            shifted = [0] * m + c
+            shifted[:len(c)] = map(operator.sub, shifted[:len(c)], c)
+            c = shifted
+    for m, k in pairs:
+        for _ in range(-k):  # over R^m - 1: quotient q[i - m] = c[i] + q[i], top down
+            for i in range(len(c) - 1 - m, -1, -1):
+                c[i] += c[i + m]
+            if any(c[:m]):  # what is left below R^m is the remainder
+                raise NonZeroRemainder(f"R^{m} - 1 leaves a non-zero remainder")
+            del c[:m]
+    return MorphPoly.from_r_coeffs(dict(enumerate(c)))
+
+
+def _stereographic(n: int):
+    """Pairs and scale of R^n + 1 = (R^(2n) - 1)/(R^n - 1), which is 2 at n = 0."""
+    return (((2 * n, 1), (n, -1)), 1) if n else ((), 2)
+
+
 @lru_cache(maxsize=None)
 def sphere(n: int) -> MorphPoly:
     """S^n = 2*(R^(n+1) - 1)/(R - 1): two cells in every dimension up to n."""
     if n < 0:
         raise BadParams("sphere dimension must be >= 0")
-    return div_exact(2 * (R ** (n + 1) - 1), R - 1)
+    return _r_power_quotient(((n + 1, 1), (1, -1)), scale=2)
 
 
 def poincare_sphere(n: int) -> MorphPoly:
     """The stereographic sphere R^n + 1."""
     if n < 0:
         raise BadParams("sphere dimension must be >= 0")
-    return R ** n + 1
+    return _r_power_quotient(*_stereographic(n))
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +92,7 @@ def projective(n: int, step: int = 1) -> MorphPoly:
     # (R^(step*(n+1)) - 1) / (R^step - 1): RP^n, CP^n, HP^n for step 1, 2, 4
     if n < 0:
         raise BadParams("projective dimension must be >= 0")
-    return div_exact(R ** (step * (n + 1)) - 1, R ** step - 1)
+    return _r_power_quotient(((step * (n + 1), 1), (step, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +100,8 @@ def phantom(n: int, step: int = 1) -> MorphPoly:
     # (R^(step*(n+1)) + 1) / (R^step + 1) for even n: the phantom projective spaces
     if n < 0 or n % 2:
         raise BadParams("phantom projective spaces exist in even dimensions")
-    return div_exact(R ** (step * (n + 1)) + 1, R ** step + 1)
+    top = step * (n + 1)
+    return _r_power_quotient(((2 * top, 1), (top, -1), (step, 1), (2 * step, -1)))
 
 
 def _product(factors) -> MorphPoly:
@@ -111,9 +145,10 @@ def stiefel_linear(n: int, k: int) -> MorphPoly:
 
 @lru_cache(maxsize=None)
 def grassmannian(n: int, k: int, step: int = 1) -> MorphPoly:
-    num = _product(sphere(step * (n - j + 1) - 1) for j in range(1, k + 1))
-    den = _product(sphere(step * j - 1) for j in range(1, k + 1))
-    return div_exact(num, den)
+    # the Gaussian binomial: prod over j = 1..k of (R^(step*(n-j+1)) - 1)/(R^(step*j) - 1)
+    top = [(step * (n - j + 1), 1) for j in range(1, k + 1)]
+    bottom = [(step * j, -1) for j in range(1, k + 1)]
+    return _r_power_quotient(top + bottom)
 
 
 def oriented_grassmannian(n: int, k: int) -> MorphPoly:
@@ -129,13 +164,14 @@ def spin(m: int) -> MorphPoly:
 
 def conformal_compactification(p: int, q: int) -> MorphPoly:
     # SS(p) * RP(q) solves Rbar(p, q) = R^(p+q) + Rbar(p-1, q-1)*R + 1, Rbar(p, 0) = R^p + 1
-    return poincare_sphere(p) * projective(q, 1)
+    pairs, scale = _stereographic(p)
+    return _r_power_quotient((*pairs, (q + 1, 1), (1, -1)), scale)
 
 
 def twistor_stereographic(p: int, q: int) -> MorphPoly:
     # with C = R^2, SS(2p-1) * CP(q-1) solves TT(p, q) = C^(p+q-2)*R + TT(p-1, q-1)*C + 1,
     # TT(p, 1) = C^(p-1)*R + 1
-    return poincare_sphere(2 * p - 1) * projective(q - 1, 2)
+    return _r_power_quotient(((4 * p - 2, 1), (2 * p - 1, -1), (2 * q, 1), (2, -1)))
 
 
 def compact_complex_sphere(m: int) -> MorphPoly:

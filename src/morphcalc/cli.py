@@ -43,6 +43,9 @@ _DIVISION_ERRORS = (NonZeroRemainder, DivisionByZero, InternalDivisionFailed)
 _PRECONDITION_ERRORS = (stability.InvalidComplex, factorize.NotIntegerType,
                         ZeroQuantity, MixedFormUnavailable, NotSemiIntegrable,
                         stability.BoundExceeded)
+# Python's int/str digit limit, absent before Python 3.10.7
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 def _eval_source(source: str) -> MorphPoly:
@@ -232,6 +235,8 @@ def run(argv, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    limit = _get_digit_limit()
+    _set_digit_limit(0)  # an exact result prints every digit; the caller's limit comes back
     try:
         return _COMMANDS[args.command](args, out)
     except _USAGE_ERRORS as exc:
@@ -246,11 +251,11 @@ def run(argv, out=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _set_digit_limit(limit)
 
 
 def main():
-    if hasattr(sys, "set_int_max_str_digits"):  # an exact result prints every digit
-        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

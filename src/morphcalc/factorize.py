@@ -36,6 +36,7 @@ from .quantity import (
 )
 from .catalog import (
     BadParams,
+    _r_power_quotient,
     grassmannian,
     phantom,
     poincare_sphere,
@@ -108,10 +109,15 @@ def _totient(d: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _mobius(n: int) -> int:
+    # the sum of mu over the divisors of n is 0 for n > 1
+    return 1 if n == 1 else -sum(_mobius(d) for d in _divisors(n)[:-1])
+
+
+@lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> MorphPoly:
-    """Phi_d: R^d - 1 over every Phi_m with m | d, m < d."""
-    below = prod(_cyclotomic(m) for m in _divisors(d)[:-1])
-    return div_exact(MorphPoly.from_r_coeffs({d: 1, 0: -1}), below)
+    """Phi_d = prod (R^m - 1)^mu(d/m) over the divisors m of d."""
+    return _r_power_quotient(tuple((m, _mobius(d // m)) for m in _divisors(d)))
 
 
 @lru_cache(maxsize=None)

@@ -1,22 +1,37 @@
+import dataclasses
 import inspect
+from functools import lru_cache
 
 import pytest
 
 from morphcalc.catalog import (
     _REGISTRY,
     BadParams,
+    InternalDivisionFailed,
     UnknownEntry,
+    _r_power_quotient,
     catalog_entry,
     catalog_quantity,
     gaussian_binomial,
+    grassmannian,
     lookup,
+    phantom,
+    poincare_sphere,
+    projective,
     registry_table,
     schubert_cells,
     sphere,
 )
 from morphcalc.corpus import hopf_family, sphere_addition
 from morphcalc.lang import eval_expr
-from morphcalc.quantity import MorphPoly, classify, dimension, euler
+from morphcalc.quantity import (
+    MorphPoly,
+    NonZeroRemainder,
+    classify,
+    dimension,
+    div_exact,
+    euler,
+)
 
 R = MorphPoly.line()
 C = R ** 2
@@ -283,3 +298,74 @@ def test_rbar_and_tt_products_solve_their_recursions():
             assert catalog_quantity("Rbar", [p, q]) == _rbar_recursion(p, q)
             if q:
                 assert catalog_quantity("TT", [p, q]) == _tt_recursion(p, q)
+
+
+# -- R-basis quotients against their formulas in the Rp basis -------------------
+
+
+@lru_cache(maxsize=None)
+def _rp_sphere(n):
+    return div_exact(2 * (R ** (n + 1) - 1), R - 1)
+
+
+@lru_cache(maxsize=None)
+def _rp_projective(n, step):
+    return div_exact(R ** (step * (n + 1)) - 1, R ** step - 1)
+
+
+def _rp_phantom(n, step):
+    return div_exact(R ** (step * (n + 1)) + 1, R ** step + 1)
+
+
+def test_r_basis_quotients_match_their_rp_formulas():
+    for n in range(61):
+        assert sphere(n) == _rp_sphere(n)
+        assert poincare_sphere(n) == R ** n + 1
+        for step in (1, 2, 4):
+            assert projective(n, step) == _rp_projective(n, step)
+            if n % 2 == 0:
+                assert phantom(n, step) == _rp_phantom(n, step)
+
+
+def test_rbar_and_tt_match_their_rp_products():
+    for p in range(40):
+        stereographic, twistor = R ** p + 1, R ** (2 * p - 1) + 1 if p else None
+        for q in range(p + 1):
+            assert catalog_quantity("Rbar", [p, q]) == stereographic * _rp_projective(q, 1)
+            if q:
+                assert catalog_quantity("TT", [p, q]) == twistor * _rp_projective(q - 1, 2)
+
+
+def test_grassmannians_are_gaussian_binomials_in_r_to_the_step():
+    for n in range(15):
+        for k in range(n + 1):
+            binomial = gaussian_binomial(n, k).r_coeffs()
+            for step in (1, 2, 4):
+                expected = MorphPoly.from_r_coeffs({step * e: c for e, c in binomial.items()})
+                assert grassmannian(n, k, step) == expected, (n, k, step)
+
+
+@pytest.mark.parametrize("pairs", [((3, 1), (2, -1)), ((1, 1), (2, -1)), ((2, -1),)])
+def test_r_power_quotient_raises_on_a_remainder(pairs):
+    with pytest.raises(NonZeroRemainder):
+        _r_power_quotient(pairs)
+
+
+def test_r_power_quotient_rejects_factors_without_r():
+    with pytest.raises(BadParams):
+        _r_power_quotient(((0, 1), (1, -1)))
+    with pytest.raises(BadParams):
+        grassmannian(2, 3)  # its top factor would be R^0 - 1
+
+
+def test_r_power_quotient_divides_after_multiplying():
+    assert _r_power_quotient(((2, -1), (4, 1))) == R ** 2 + 1
+    assert _r_power_quotient(((1, 2), (1, -1)), scale=3) == 3 * (R - 1)
+    assert _r_power_quotient((), scale=2) == 2
+
+
+def test_a_builder_remainder_is_an_internal_division_failure(monkeypatch):
+    slip = dataclasses.replace(lookup("S"), build=lambda n: _r_power_quotient(((n, 1), (2, -1))))
+    monkeypatch.setitem(_REGISTRY, "s", slip)
+    with pytest.raises(InternalDivisionFailed, match=r"S\[3\]: internal exact division failed"):
+        catalog_entry("S", [3])

@@ -463,6 +463,16 @@ def test_cli_process_prints_every_digit_of_a_large_result():
     assert int(digits[-30:]) == pow(7, 6000, 10 ** 30)
 
 
+def test_cli_run_prints_every_digit_in_process():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = _run(["eval", "7^6000"])
+    digits = out.strip()
+    assert code == 0
+    assert digits.isdigit() and len(digits) == 5071
+    assert int(digits[-30:]) == pow(7, 6000, 10 ** 30)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_cli_process_echoes_a_5000_digit_literal():
     literal = "9" * 5000
     assert _run_process("eval", literal) == (0, f"{literal}\n", "")

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from morphcalc.factorize import (
     Factor,
     FactorizationResult,
     NotIntegerType,
+    _cyclotomic,
     _dictionary,
     factor_into_catalog,
     grassmann_divide,
@@ -290,6 +293,15 @@ def test_each_candidate_factors_to_itself():
 
 
 PHI10 = R ** 4 - R ** 3 + R ** 2 - R + 1  # cyclotomic, but in no candidate alone
+
+
+def test_cyclotomic_matches_the_recursive_quotient():
+    below = {}
+    for d in range(1, 61):
+        rest = [below[m] for m in below if d % m == 0]
+        below[d] = div_exact(R ** d - 1, prod(rest, start=MorphPoly.constant(1)))
+        assert _cyclotomic(d) == below[d], d
+    assert _cyclotomic(10) == PHI10
 
 
 @pytest.mark.parametrize("q,factors,residual", [
