@@ -8,6 +8,7 @@ from .quantity import (
     MorphPoly,
     NonZeroRemainder,
     SemiIntegralForm,
+    SizeLimitExceeded,
     classify,
     dimension,
     div_exact,

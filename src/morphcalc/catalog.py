@@ -26,6 +26,8 @@ from .quantity import (
     NonZeroRemainder,
     P,
     R,
+    _check_size,
+    _normalised,
     div_exact,
 )
 
@@ -51,6 +53,8 @@ def _r_power_quotient(pairs, scale: int = 1) -> MorphPoly:
     """
     if any(m < 1 for m, _ in pairs):
         raise BadParams("a factor R^m - 1 needs m >= 1")
+    _check_size(sum(m * k for m, k in pairs if k > 0),
+                sum(k for _, k in pairs if k > 0) + scale.bit_length())
     c = [scale]  # c[i] is the coefficient of R^i
     for m, k in pairs:
         for _ in range(k):  # times R^m - 1
@@ -64,7 +68,7 @@ def _r_power_quotient(pairs, scale: int = 1) -> MorphPoly:
             if any(c[:m]):  # what is left below R^m is the remainder
                 raise NonZeroRemainder(f"R^{m} - 1 leaves a non-zero remainder")
             del c[:m]
-    return MorphPoly.from_r_coeffs(dict(enumerate(c)))
+    return _normalised(c, 0)
 
 
 def _stereographic(n: int):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or all records pass), 1 verification failures,
 2 parse or usage errors, 3 inexact division, 4 violated preconditions
-(not a cell complex, not integer type, zero quantity, no mixed form).
+(not a cell complex, not integer type, zero quantity, no mixed form, a result
+over the size budget).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .quantity import (
     MorphPoly,
     NonZeroRemainder,
     NotSemiIntegrable,
+    SizeLimitExceeded,
     ZeroQuantity,
     classify,
     dimension,
@@ -42,7 +44,7 @@ _USAGE_ERRORS = (ExprSyntaxError, UnknownName, UnknownEntry, BadParams,
 _DIVISION_ERRORS = (NonZeroRemainder, DivisionByZero, InternalDivisionFailed)
 _PRECONDITION_ERRORS = (stability.InvalidComplex, factorize.NotIntegerType,
                         ZeroQuantity, MixedFormUnavailable, NotSemiIntegrable,
-                        stability.BoundExceeded)
+                        stability.BoundExceeded, SizeLimitExceeded)
 # Python's int/str digit limit, absent before Python 3.10.7
 _get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)

@@ -1,15 +1,14 @@
 """Exact arithmetic for quantity polynomials in the line R and the halfline Rp.
 
 A quantity is a polynomial with rational coefficients whose denominators are
-powers of two, that is a polynomial over Z[1/2].  The canonical internal form
-is the pure halfline basis, using the substitution R = 2*Rp + 1: a dense tuple
-of Python ints c and one shift s, meaning sum(c[i] * Rp^i) / 2^s.  The tuple
-has no trailing zeros, and some c[i] is odd whenever s > 0, so each quantity
-has exactly one such form and its denominators are powers of two by
-construction.  Multiplication is integer convolution, the change to the R
-basis is an integer Taylor shift, and division is long division over Z.
-Integer polynomials in R embed into integer polynomials in Rp, so equality,
-classification and rendering are all decided on this one form.
+powers of two, that is a polynomial over Z[1/2].  The internal form is the
+line basis: a dense tuple of Python ints c and one shift s, meaning
+sum(c[i] * R^i) / 2^s.  The tuple has no trailing zeros, and some c[i] is odd
+whenever s > 0, so each quantity has exactly one such form and its
+denominators are powers of two by construction.  Since R = 2*Rp + 1, the
+polynomials over Z[1/2] in R are exactly those in Rp, so the halfline basis is
+a view: one integer Taylor shift each way, both in this module.
+Multiplication is integer convolution and division is long division over Z.
 """
 
 from __future__ import annotations
@@ -49,6 +48,23 @@ class ZeroQuantity(MorphError):
     pass
 
 
+class SizeLimitExceeded(MorphError):
+    """The estimated size of a result exceeds SIZE_BUDGET."""
+
+
+# Largest accepted estimate of a result's size, (degree + 1) * coefficient bits.
+# Dense arithmetic near it takes seconds: Rp^2000 sits just below.
+SIZE_BUDGET = 1 << 22
+
+
+def _check_size(degree: int, bits: int) -> None:
+    size = (degree + 1) * max(bits, 1)
+    if size > SIZE_BUDGET:
+        raise SizeLimitExceeded(
+            f"the result would hold about {size} bits, over the size budget of {SIZE_BUDGET}"
+        )
+
+
 def _fmt_frac(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -77,93 +93,98 @@ def _dyadic_ints(coeffs):
     return ints, shift
 
 
-def _normalised(ints, shift) -> "MorphPoly":
-    """The quantity sum(ints[i] * Rp^i) / 2^shift in normal form."""
+def _normal_form(ints, shift):
+    """ints / 2^shift without trailing zeros and with no power of two left to cancel."""
     n = len(ints)
     while n and not ints[n - 1]:
         n -= 1
     ints = ints[:n]
-    if not ints:
-        shift = 0
-    elif shift:
-        low = reduce(or_, ints)
-        k = min(shift, (low & -low).bit_length() - 1)
+    if shift:
+        low = reduce(or_, ints, 0)
+        k = min(shift, (low & -low).bit_length() - 1) if low else shift
         if k:
             ints = [c >> k for c in ints]
             shift -= k
+    return tuple(ints), shift
+
+
+def _normalised(ints, shift) -> "MorphPoly":
+    """The quantity sum(ints[i] * R^i) / 2^shift in normal form."""
     q = MorphPoly.__new__(MorphPoly)
-    q._ints = tuple(ints)
-    q._shift = shift
+    q._ints, q._shift = _normal_form(ints, shift)
     return q
 
 
-class MorphPoly:
-    """A quantity: exact polynomial over the halfline symbol Rp (R = 2*Rp + 1).
+def _halfline_ints(ints, shift):
+    """sum(ints[i] * R^i) / 2^shift as halfline ints and shift, in normal form.
 
-    Stored as ints c and a shift s meaning sum(c[i] * Rp^i) / 2^s, with no
-    trailing zeros in c and an odd c[i] whenever s > 0.
+    The one change to the halfline basis, by Horner in R = 2*Rp + 1.
+    """
+    acc = list(ints[-1:])
+    for k in range(len(ints) - 2, -1, -1):  # acc -> acc * (2*Rp + 1) + ints[k]
+        twice = [c << 1 for c in acc]
+        acc = [acc[0] + ints[k], *map(add, acc[1:], twice), twice[-1]]
+    return _normal_form(acc, shift)
+
+
+class MorphPoly:
+    """A quantity: exact polynomial over the line symbol R, read also in Rp = (R - 1)/2.
+
+    Stored as ints c and a shift s meaning sum(c[i] * R^i) / 2^s, with no
+    trailing zeros in c and an odd c[i] whenever s > 0.  The constructor takes
+    halfline coefficients, `from_r_coeffs` line coefficients.
     """
 
     __slots__ = ("_ints", "_shift")
 
     def __init__(self, p_coeffs=None):
-        ints, self._shift = _dyadic_ints(p_coeffs)
-        self._ints = tuple(ints)
+        c, shift = _dyadic_ints(p_coeffs)
+        d = max(len(c) - 1, 0)
+        # sum c[i] * ((R - 1)/2)^i = sum (c[i] << (d - i)) * (R - 1)^i / 2^d,
+        # expanded by Horner in (R - 1): acc -> acc * (R - 1) + (c[i] << (d - i))
+        acc = c[-1:]
+        for i in range(d - 1, -1, -1):
+            acc = [(c[i] << (d - i)) - acc[0], *map(sub, acc, acc[1:]), acc[-1]]
+        self._ints, self._shift = _normal_form(acc, shift + d)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MorphPoly":
-        return cls()
+        return _normalised([], 0)
 
     @classmethod
     def constant(cls, value) -> "MorphPoly":
-        return cls({0: value})
+        if isinstance(value, int):
+            return _normalised([value], 0)
+        return cls.from_r_coeffs({0: value})
 
     @classmethod
     def halfline(cls) -> "MorphPoly":
-        return cls({1: 1})
+        return _normalised([-1, 1], 1)
 
     @classmethod
     def line(cls) -> "MorphPoly":
-        return cls({1: 2, 0: 1})
+        return _normalised([0, 1], 0)
 
     @classmethod
     def from_r_coeffs(cls, r_coeffs) -> "MorphPoly":
-        """Build from a map R-exponent -> coefficient via R = 2*Rp + 1."""
-        a, shift = _dyadic_ints(r_coeffs)
-        if not a:
-            return cls()
-        acc = [a[-1]]
-        for k in range(len(a) - 2, -1, -1):  # Horner: acc -> acc * (2*Rp + 1) + a[k]
-            twice = [c << 1 for c in acc]
-            acc = [acc[0] + a[k], *map(add, acc[1:], twice), twice[-1]]
-        return _normalised(acc, shift)
+        """Build from a map R-exponent -> coefficient."""
+        return _normalised(*_dyadic_ints(r_coeffs))
 
     # -- views ---------------------------------------------------------
 
     def p_coeffs(self) -> dict:
-        den = 1 << self._shift
-        return {e: Fraction(c, den) for e, c in enumerate(self._ints) if c}
+        ints, shift = _halfline_ints(self._ints, self._shift)
+        return {e: Fraction(c, 1 << shift) for e, c in enumerate(ints) if c}
 
     def p_coeff(self, exp: int) -> Fraction:
-        if 0 <= exp < len(self._ints):
-            return Fraction(self._ints[exp], 1 << self._shift)
-        return Fraction(0)
+        return self.p_coeffs().get(exp, Fraction(0))
 
     def r_coeffs(self) -> dict:
-        """Coefficients over R, via Rp^p = ((R - 1)/2)^p.  May be half-integral."""
-        c = self._ints
-        if not c:
-            return {}
-        d = len(c) - 1
-        # sum c[i] * ((R - 1)/2)^i = sum (c[i] << (d - i)) * (R - 1)^i / 2^d,
-        # expanded by Horner in (R - 1): acc -> acc * (R - 1) + (c[i] << (d - i))
-        acc = [c[d]]
-        for i in range(d - 1, -1, -1):
-            acc = [(c[i] << (d - i)) - acc[0], *map(sub, acc, acc[1:]), acc[-1]]
-        den = 1 << (self._shift + d)
-        return {j: Fraction(x, den) for j, x in enumerate(acc) if x}
+        """Coefficients over R.  May be half-integral."""
+        den = 1 << self._shift
+        return {e: Fraction(c, den) for e, c in enumerate(self._ints) if c}
 
     def is_zero(self) -> bool:
         return not self._ints
@@ -179,10 +200,8 @@ class MorphPoly:
     def _coerce(other):
         if isinstance(other, MorphPoly):
             return other
-        if isinstance(other, int):
-            return _normalised([other], 0)
-        if isinstance(other, Fraction):
-            return MorphPoly({0: other})
+        if isinstance(other, (int, Fraction)):
+            return MorphPoly.constant(other)
         return None
 
     def __add__(self, other):
@@ -237,6 +256,8 @@ class MorphPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if self._ints:  # the coefficients of q^n are at most sum(|c[i]|)^n
+            _check_size(n * self.degree(), n * (sum(map(abs, self._ints)) - 1).bit_length())
         result = MorphPoly.constant(1)
         base = self
         while n:
@@ -319,8 +340,8 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
         if low:
             rem[k:] = map(sub, rem[k:], map(f.__mul__, low))
     if any(rem):
-        rem_den = mult << num._shift
-        rem = {e: Fraction(c, rem_den) for e, c in enumerate(rem) if c}
+        rem, shift = _halfline_ints(rem, num._shift)
+        rem = {e: Fraction(c, mult << shift) for e, c in enumerate(rem) if c}
         raise NonZeroRemainder(
             f"non-zero remainder {_render_powers(rem, 'Rp')}",
             remainder=rem,
@@ -342,9 +363,8 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
 
 
 def evaluate_at(q: MorphPoly, r_value) -> Fraction:
-    """Exact value of q at R = r_value (so Rp = (r_value - 1)/2)."""
-    p_value = (Fraction(r_value) - 1) / 2
-    a, b = p_value.numerator, p_value.denominator
+    """Exact value of q at R = r_value, by Horner in R."""
+    a, b = Fraction(r_value).as_integer_ratio()
     c = q._ints
     if not c:
         return Fraction(0)
@@ -394,16 +414,14 @@ def classify(q: MorphPoly) -> Classification:
     if q.is_zero():
         return Classification(False, False, False, False, False, False, "NotAnObject")
 
-    p_integers = q._shift == 0
-    is_object = p_integers and q._ints[-1] >= 1
-
-    semi = p_integers and min(q._ints) >= 0
-
-    rc = q.r_coeffs()
-    r_integers = all(c.denominator == 1 for c in rc.values())
-    r_lead = rc[max(rc)]
-    integer_type = r_integers and r_lead >= 1
-    integrable = integer_type and all(c >= 0 for c in rc.values())
+    integer_type = q._shift == 0 and q._ints[-1] >= 1
+    integrable = integer_type and min(q._ints) >= 0
+    if integrable:  # non-negative integers in R stay so in Rp = (R - 1)/2
+        is_object = semi = True
+    else:
+        p_ints, p_shift = _halfline_ints(q._ints, q._shift)
+        is_object = p_shift == 0 and p_ints[-1] >= 1
+        semi = is_object and min(p_ints) >= 0
 
     half = semi and not integer_type
     just_another = is_object and not semi and not integer_type
@@ -443,8 +461,7 @@ class SemiIntegralForm:
     j_max: int
 
     def quantity(self) -> MorphPoly:
-        return sum((MorphPoly({p: c}) * MorphPoly.from_r_coeffs({r: 1}) for p, r, c in self.terms),
-                   MorphPoly.zero())
+        return sum((c * P ** p * R ** r for p, r, c in self.terms), MorphPoly.zero())
 
 
 def _term_vector(p, r, degree):
@@ -465,9 +482,9 @@ def _search_min_rep(q: MorphPoly, j_bound: int):
     `semi_integral_minimal` calls instead.
     """
     degree = q.degree()
-    if q._shift or min(q._ints) < 0:
+    target, shift = _halfline_ints(q._ints, q._shift)
+    if shift or min(target) < 0:
         return None
-    target = list(q._ints)
     terms = [
         (p, r)
         for p in range(min(j_bound, degree), -1, -1)
@@ -556,8 +573,8 @@ def _dp_min_rep(q: MorphPoly, j_bound: int):
     most big + w in the next one, where the same later choices stay open,
     so the cheapest path never runs through the smaller E'.
     """
-    c = q._ints
-    if q._shift or min(c) < 0:
+    c, shift = _halfline_ints(q._ints, q._shift)
+    if shift or min(c) < 0:
         return None
     degree = len(c) - 1
     j_bound = min(j_bound, degree)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import time
 from functools import lru_cache
 
 import pytest
@@ -31,6 +32,7 @@ from morphcalc.quantity import (
     dimension,
     div_exact,
     euler,
+    evaluate_at,
 )
 
 R = MorphPoly.line()
@@ -369,3 +371,15 @@ def test_a_builder_remainder_is_an_internal_division_failure(monkeypatch):
     monkeypatch.setitem(_REGISTRY, "s", slip)
     with pytest.raises(InternalDivisionFailed, match=r"S\[3\]: internal exact division failed"):
         catalog_entry("S", [3])
+
+
+def test_large_builds_are_fast_and_exact():
+    # each against a closed form; a quadratic change of basis per build or print costs seconds here
+    t0 = time.monotonic()
+    assert catalog_quantity("S", [3000]).r_coeffs() == dict.fromkeys(range(3001), 2)
+    assert (R ** 1600).r_coeffs() == {1600: 1}
+    rbar = catalog_quantity("Rbar", [1500, 1500])
+    assert evaluate_at(rbar, 2) == (2 ** 1500 + 1) * (2 ** 1501 - 1)
+    gl = catalog_quantity("GL", [40])
+    assert gl.degree() == 1600 and gl.r_coeffs()[1600] == 1
+    assert time.monotonic() - t0 < 2

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,14 @@ def test_cli_exit_codes():
     assert _run(["factor", "Rp"])[0] == 4
     assert _run(["dim", "0"])[0] == 4
     assert _run(["eval", "R - 2", "--form", "mixed"])[0] == 4
+
+
+@pytest.mark.parametrize("expr", ["R^99999999999", "S(999999999)", "Rp^3000000"])
+def test_cli_results_over_the_size_budget_exit_4(capsys, expr):
+    t0 = time.monotonic()
+    assert _run(["eval", expr]) == (4, "")
+    assert time.monotonic() - t0 < 1
+    assert "over the size budget" in capsys.readouterr().err
 
 
 def test_cli_deep_expressions_are_usage_errors(capsys):

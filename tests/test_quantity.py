@@ -11,6 +11,8 @@ from morphcalc.quantity import (
     MorphPoly,
     NonZeroRemainder,
     NotSemiIntegrable,
+    SIZE_BUDGET,
+    SizeLimitExceeded,
     ZeroQuantity,
     classify,
     div_exact,
@@ -85,6 +87,15 @@ def test_pow():
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         R ** -1
+
+
+def test_pow_checks_the_size_budget_before_multiplying():
+    two = MorphPoly.constant(2)
+    assert two ** SIZE_BUDGET == 1 << SIZE_BUDGET  # one coefficient of SIZE_BUDGET bits
+    with pytest.raises(SizeLimitExceeded, match=f"budget of {SIZE_BUDGET}"):
+        two ** (SIZE_BUDGET + 1)
+    with pytest.raises(SizeLimitExceeded):
+        (R + 1) ** 2100  # 2101 coefficients of up to 2100 bits
 
 
 @settings(max_examples=80, deadline=None)
@@ -449,10 +460,13 @@ def test_representation_examples():
 
     assert form(MorphPoly({0: 0, 3: Fraction(0, 4)})) == ((), 0)
     assert form(MorphPoly({0: Fraction(2, 4)})) == ((1,), 1)
-    assert form(R - 1) == ((0, 2), 0)
+    assert form(R - 1) == ((-1, 1), 0)
+    assert form(P) == ((-1, 1), 1)
+    assert form(MorphPoly({1: 2, 0: 1})) == ((0, 1), 0)
     half = (R - 1) * Fraction(1, 4)
-    assert form(half) == ((0, 1), 1)
-    assert form(half + half) == ((0, 1), 0)
+    assert form(half) == ((-1, 1), 2)
+    assert form(half + half) == ((-1, 1), 1)
+    assert form(4 * half) == ((-1, 1), 0)
 
 
 def test_equal_quantities_hash_alike():
