@@ -109,7 +109,14 @@ def phantom(n: int, step: int = 1) -> MorphPoly:
 
 
 def _product(factors) -> MorphPoly:
-    return prod(factors, start=MorphPoly.constant(1))
+    """The product of the factors; its size is checked as they are built, before any multiply."""
+    built, degree, bits = [], 0, 0
+    for f in factors:
+        built.append(f)
+        degree += f.degree()
+        bits += (sum(map(abs, f._ints)) - 1).bit_length()
+        _check_size(degree, bits)
+    return prod(built, start=MorphPoly.constant(1))
 
 
 @lru_cache(maxsize=None)

@@ -9,13 +9,18 @@ prime so they do not split into smaller factors of the same shape).
 Every candidate is a product of cyclotomic polynomials Phi_d, because
 R^m - 1 = prod_{d | m} Phi_d, so it divides the input exactly when its
 exponents {d: e_d} fit under the input's.  Greedy order: strip powers of R,
-read the input's exponents once by exact division by each Phi_d, then take
-each candidate, by descending degree (family order breaks ties), as many
-times as it fits.  Odd real projective spaces are intentionally not
-scanned: RP^(2m+1) = (R + 1) * CP^m, and which CP the stray (R + 1) belongs
-to only becomes clear at the end, so leftover (R + 1) factors are merged
-into the smallest emitted CP afterwards.  This deterministic order
-reproduces all the worked Grassmannian tables.
+read the input's exponents once, then take each candidate, by descending
+degree (family order breaks ties), as many times as it fits.  Odd real
+projective spaces are intentionally not scanned: RP^(2m+1) = (R + 1) * CP^m,
+and which CP the stray (R + 1) belongs to only becomes clear at the end, so
+leftover (R + 1) factors are merged into the smallest emitted CP afterwards.
+This deterministic order reproduces all the worked Grassmannian tables.
+
+The exponents are read on plain int lists.  Phi_d divides R^d - 1, so the
+input's remainder by Phi_d is that of its fold modulo R^d - 1, the d sums of
+every d-th coefficient.  That fold (degree < d) is divided by Phi_d first,
+and the whole input only when the fold leaves no remainder, so no division
+by Phi_d fails.
 """
 
 from __future__ import annotations
@@ -23,15 +28,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import gcd, prod
+from math import prod
+from operator import sub
 
 from .quantity import (
     MorphError,
     MorphPoly,
-    NonZeroRemainder,
     R,
+    _normalised,
     classify,
-    div_exact,
     render,
 )
 from .catalog import (
@@ -104,11 +109,6 @@ def _divisors(m: int):
 
 
 @lru_cache(maxsize=None)
-def _totient(d: int) -> int:
-    return sum(gcd(j, d) == 1 for j in range(d))
-
-
-@lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
     # the sum of mu over the divisors of n is 0 for n > 1
     return 1 if n == 1 else -sum(_mobius(d) for d in _divisors(n)[:-1])
@@ -127,6 +127,34 @@ def _exponents(pairs) -> Counter:
     for m, k in pairs:
         exponents.update(dict.fromkeys(_divisors(m), k))
     return +exponents
+
+
+def _divmod_monic(c, phi):
+    """Quotient and remainder of the int list c by the monic int list phi, low powers first."""
+    rem = list(c)
+    low = phi[:-1]
+    quo = [0] * max(len(rem) - len(low), 0)
+    for k in range(len(quo) - 1, -1, -1):
+        top = quo[k] = rem.pop()
+        if top:
+            rem[k:] = map(sub, rem[k:], map(top.__mul__, low))
+    return quo, rem
+
+
+def _cyclotomic_exponents(c, ds):
+    """Exponents {d: e_d} of the Phi_d, d in ds, in sum(c[i] * R^i), and the ints left.
+
+    c holds integers; each Phi_d is monic, so every division stays over Z.
+    """
+    exponents = Counter()
+    for d in ds:
+        phi = _cyclotomic(d)._ints
+        while len(phi) <= len(c):  # deg Phi_d <= deg c
+            if any(_divmod_monic([sum(c[j::d]) for j in range(d)], phi)[1]):
+                break
+            c = _divmod_monic(c, phi)[0]
+            exponents[d] += 1
+    return exponents, c
 
 
 def _dictionary(max_degree: int):
@@ -165,20 +193,14 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
         raise NotIntegerType(f"{render(q, 'r')} is not of integer type")
 
     # powers of R first: shift away the lowest R-exponent
-    rc = q.r_coeffs()
-    low = min(rc)
-    current = MorphPoly.from_r_coeffs({e - low: c for e, c in rc.items()})
+    low = next(i for i, c in enumerate(q._ints) if c)
     found = [("R", None, (), R)] * low  # (family, name, params, poly) with repetition
 
-    candidates = _dictionary(current.degree())
-    exponents = Counter()
-    for d in sorted({2}.union(*(c[4] for c in candidates))):
-        while _totient(d) <= current.degree():  # the degree of Phi_d, known before building it
-            try:
-                current = div_exact(current, _cyclotomic(d))
-            except NonZeroRemainder:
-                break
-            exponents[d] += 1
+    candidates = _dictionary(len(q._ints) - 1 - low)
+    exponents, rest = _cyclotomic_exponents(
+        q._ints[low:], sorted({2}.union(*(c[4] for c in candidates)))
+    )
+    current = _normalised(rest, 0)
 
     for family, name, params, build, need in candidates:
         times = min(exponents[d] // e for d, e in need.items())

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import time
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -383,3 +384,15 @@ def test_large_builds_are_fast_and_exact():
     gl = catalog_quantity("GL", [40])
     assert gl.degree() == 1600 and gl.r_coeffs()[1600] == 1
     assert time.monotonic() - t0 < 2
+
+
+@pytest.mark.parametrize("entry,n,degree,value_at", [
+    ("O", 60, 1770, lambda r: prod(2 * (r ** (j + 1) - 1) // (r - 1) for j in range(60))),
+    ("U", 60, 3600, lambda r: prod(2 * (r ** (2 * j) - 1) // (r - 1) for j in range(1, 61))),
+    ("Sp", 30, 1830, lambda r: prod(2 * (r ** (4 * j) - 1) // (r - 1) for j in range(1, 31))),
+    ("GL", 40, 1600, lambda r: prod(r ** 40 - r ** j for j in range(40))),
+])
+def test_products_under_the_size_budget_still_build(entry, n, degree, value_at):
+    q = catalog_quantity(entry, [n])
+    assert q.degree() == degree
+    assert all(evaluate_at(q, r) == value_at(r) for r in (2, 3, 5, -2))

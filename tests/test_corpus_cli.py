@@ -187,7 +187,7 @@ def test_cli_exit_codes():
     assert _run(["eval", "R - 2", "--form", "mixed"])[0] == 4
 
 
-@pytest.mark.parametrize("expr", ["R^99999999999", "S(999999999)", "Rp^3000000"])
+@pytest.mark.parametrize("expr", ["R^99999999999", "S(999999999)", "Rp^3000000", "O(10000)"])
 def test_cli_results_over_the_size_budget_exit_4(capsys, expr):
     t0 = time.monotonic()
     assert _run(["eval", expr]) == (4, "")

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import prod
 
 import pytest
@@ -13,10 +14,12 @@ from morphcalc.catalog import (
     sphere,
 )
 from morphcalc.factorize import (
+    FIELD_STEPS,
     Factor,
     FactorizationResult,
     NotIntegerType,
     _cyclotomic,
+    _cyclotomic_exponents,
     _dictionary,
     factor_into_catalog,
     grassmann_divide,
@@ -335,3 +338,42 @@ def test_factor_matches_trial_division_reference(elements):
     assert result.display() == reference.display()
     assert result.residual == reference.residual
     assert result.factors == reference.factors
+
+
+def _read_exponents(field, n, k):
+    exponents, rest = _cyclotomic_exponents(
+        grassmann_divide(field, n, k)._ints, range(1, FIELD_STEPS[field] * n + 1))
+    assert list(rest) == [1], (field, n, k)
+    return exponents
+
+
+def test_exponents_match_the_closed_form():
+    # e_d = floor(n/d) - floor(k/d) - floor((n-k)/d) for the real Grassmannians
+    for n in range(2, 41):
+        for k in range(1, n):
+            closed = {d: n // d - k // d - (n - k) // d for d in range(1, n + 1)}
+            assert _read_exponents("real", n, k) == +Counter(closed), (n, k)
+    # prod_j (R^(s*(n-j+1)) - 1)/(R^(s*j) - 1): count d | m over the top and bottom exponents
+    for field in ("complex", "quaternionic"):
+        step = FIELD_STEPS[field]
+        for n in range(2, 17):
+            for k in range(1, n):
+                top = [step * (n - j + 1) for j in range(1, k + 1)]
+                bottom = [step * j for j in range(1, k + 1)]
+                counted = {d: sum(m % d == 0 for m in top) - sum(m % d == 0 for m in bottom)
+                           for d in range(1, step * n + 1)}
+                assert _read_exponents(field, n, k) == +Counter(counted), (field, n, k)
+
+
+def test_reading_exponents_makes_no_failed_division(monkeypatch):
+    made = []
+    init = NonZeroRemainder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NonZeroRemainder, "__init__", counting_init)
+    for q in (grassmann_divide("real", 40, 5), sphere(200)):
+        assert factor_into_catalog(q).product() == q
+    assert made == []
