@@ -1,14 +1,18 @@
 """Catalog of named quantities for the classical manifolds and groups.
 
 Every entry is a constructor called with the integer parameters its arity
-names (`p,q,k` calls `build(p, q, k)`), returning an exact quantity.
-Quotient-defined entries run through exact division on purpose: a transcription
-slip then surfaces as InternalDivisionFailed instead of a silently wrong
-polynomial.  Spheres, projective and phantom spaces and Grassmannians are
-quotients of factors R^m - 1, divided exactly in the R basis, where each
-division is one pass over small integers and still raises on a remainder.
-Independent combinatorial oracles (Schubert cell enumeration and the Gaussian
-binomial recurrence) live here as well.
+names (`p,q,k` calls `build(p, q, k)`), returning an exact quantity.  Apart
+from NC and CSS, which are sums over such quantities, every entry is
+scale * R^a * prod (R^m - 1)^k, and each is built in one place, `_quotient`.
+A row states its factors as (scale, a, pairs) triples taken from five blocks
+(sphere, stereographic sphere, projective, phantom and Grassmann spaces), and
+a quotient row names the factors it divides by.  The pairs are merged and the
+size is read from them before any arithmetic; the product is then built on
+plain R-coefficients, each division by R^m - 1 one top-down pass that raises
+on a remainder, so a transcription slip surfaces as InternalDivisionFailed
+instead of a silently wrong polynomial.  Independent combinatorial oracles
+(Schubert cell enumeration and the Gaussian binomial recurrence) live here as
+well.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, pairwise
-from math import prod
+from itertools import chain, combinations, pairwise
+from math import comb, gcd
 
 from .quantity import (
+    SIZE_BUDGET,
     MorphError,
     MorphPoly,
     NonZeroRemainder,
@@ -28,7 +33,6 @@ from .quantity import (
     R,
     _check_size,
     _normalised,
-    div_exact,
 )
 
 
@@ -44,156 +48,262 @@ class InternalDivisionFailed(MorphError):
     pass
 
 
-def _r_power_quotient(pairs, scale: int = 1) -> MorphPoly:
-    """scale * prod (R^m - 1)^k over the (m, k) pairs, built on R-coefficients.
+def _quotient(factors, over=()) -> MorphPoly:
+    """The product of the (scale, a, pairs) factors over that of `over`, on R-coefficients.
+
+    A factor is scale * R^a * prod (R^m - 1)^k over its (m, k) pairs.  The size
+    is checked before any arithmetic, in two steps:
+
+    - Both iterables are consumed lazily with a running total of the degree.
+      The divisors come first, and each block lists its divisor pairs first,
+      so the total runs above the final degree by at most one divisor pair,
+      and a call whose degree alone is over the budget is refused before the
+      rest of its pairs exist.
+    - The merged pairs {m: k} give the degree d = a + sum(m*k) and a
+      coefficient total V.  With no k < 0, V = scale * 2^sum(k) bounds the
+      absolute sum of the coefficients, 2 for each R^m - 1.  Otherwise V is
+      that times prod m^k, which for sum(k) = 0 is the value at R = 1.  The
+      estimate is (d + 1) * bits(V // (d + 1)), the bits of the mean
+      coefficient; with no divisors, V // (d + 1) is raised to _peak's bound.
 
     Every factor with k > 0 is multiplied in first, so each division after it
     is exact whenever the whole quotient is a polynomial; a division that
     leaves a remainder raises NonZeroRemainder.
     """
-    if any(m < 1 for m, _ in pairs):
-        raise BadParams("a factor R^m - 1 needs m >= 1")
-    _check_size(sum(m * k for m, k in pairs if k > 0),
-                sum(k for _, k in pairs if k > 0) + scale.bit_length())
+    scales = {-1: 1, 1: 1}  # of the divisors and of the factors
+    shift = degree = width = step = 0
+    merged, gaps = {}, []
+    for sign, side in ((-1, over), (1, factors)):
+        for scale, a, pairs in side:
+            scales[sign] *= scale
+            shift += sign * a
+            degree += sign * a
+            start, own_step = degree, 0
+            for m, k in pairs:
+                if m < 1:
+                    raise BadParams("a factor R^m - 1 needs m >= 1")
+                own_step = gcd(own_step, m)
+                k *= sign
+                merged[m] = merged.get(m, 0) + k
+                degree += m * k
+                if degree >= SIZE_BUDGET:  # the estimate below is at least degree + 1
+                    _check_size(degree, 1)
+            own = degree - start
+            if own_step == own > 0:  # a polynomial in R^own of degree 1
+                gaps.append(own)
+            elif own:
+                width += own
+                step = gcd(step, own_step)
+    scale, rest = divmod(scales[1], scales[-1])
+    if rest:
+        raise NonZeroRemainder(f"the scale {scales[-1]} leaves a non-zero remainder")
+    if shift < 0:
+        raise NonZeroRemainder(f"R^{-shift} leaves a non-zero remainder")
+    if degree >= 0:
+        num, den, total = scale, 1, sum(merged.values())
+        if min(merged.values(), default=0) < 0:
+            for m, k in merged.items():
+                if k > 0:
+                    num *= m ** k
+                else:
+                    den *= m ** -k
+        value = (num << max(total, 0)) // (den << max(-total, 0))
+        peak = value // (degree + 1)
+        if not over and (degree + 1) * value.bit_length() > SIZE_BUDGET:  # else any peak passes
+            peak = max(peak, _peak(value, width, step, gaps))
+        _check_size(degree, peak.bit_length())
     c = [scale]  # c[i] is the coefficient of R^i
-    for m, k in pairs:
+    for m, k in merged.items():
         for _ in range(k):  # times R^m - 1
             shifted = [0] * m + c
             shifted[:len(c)] = map(operator.sub, shifted[:len(c)], c)
             c = shifted
-    for m, k in pairs:
+    for m, k in merged.items():
         for _ in range(-k):  # over R^m - 1: quotient q[i - m] = c[i] + q[i], top down
             for i in range(len(c) - 1 - m, -1, -1):
                 c[i] += c[i + m]
             if any(c[:m]):  # what is left below R^m is the remainder
                 raise NonZeroRemainder(f"R^{m} - 1 leaves a non-zero remainder")
             del c[:m]
-    return _normalised(c, 0)
+    return _normalised([0] * shift + c, 0)
+
+
+def _peak(value: int, width: int, step: int, gaps) -> int:
+    """A lower bound on the largest coefficient of a product of factors with non-negative terms.
+
+    A factor prod (R^m - 1)^k is a polynomial in R^g, g the gcd of its m.  When
+    g is its degree e, as in R^m + 1 = (R^2m - 1)/(R^m - 1), it has terms at
+    R^0 and R^e only: a gap of e.  The other factors are counted dense: their
+    degrees sum to `width`, and `step`, the gcd of their g, divides their
+    exponents.  The product's coefficients sum to `value`, and a C(J, s) / 2^J
+    share of it comes from the terms that take s of the J gaps.  Their
+    exponents lie between the sum of the s least gaps and `width` past the sum
+    of the s largest, `spread` apart, and differ by multiples of the gcd of
+    `step` and the gaps' differences; so the share at s = J // 2 falls on at
+    most spread / gcd + 1 exponents.  In NGs(200000, 20, 20), the 20 factors
+    R^m + 1 with m = 199980..199999, that is 184756 / 2^20 of the value on 101
+    exponents: the bound reads 11 bits, the largest coefficient has 13, and the
+    mean over the degree 3,999,790 reads 0.
+    """
+    gaps.sort()
+    half = len(gaps) // 2
+    spread = max(sum(gaps[len(gaps) - half:]) - sum(gaps[:half]) + width, 0)
+    step = gcd(step, *(g - gaps[0] for g in gaps))
+    return value * comb(len(gaps), half) // ((spread // step + 1 if step else 1) << len(gaps))
+
+
+def _r_power_quotient(pairs, scale: int = 1) -> MorphPoly:
+    """scale * prod (R^m - 1)^k over the (m, k) pairs: the tests' spelling of _quotient."""
+    return _quotient([(scale, 0, pairs)])
+
+
+# -- the five blocks: (scale, a, pairs) factors, divisor pairs first ----------
+
+
+def _sphere(n: int):
+    """S^n = 2*(R^(n+1) - 1)/(R - 1): two cells in every dimension up to n."""
+    return 2, 0, ((1, -1), (n + 1, 1))
 
 
 def _stereographic(n: int):
-    """Pairs and scale of R^n + 1 = (R^(2n) - 1)/(R^n - 1), which is 2 at n = 0."""
-    return (((2 * n, 1), (n, -1)), 1) if n else ((), 2)
+    """R^n + 1 = (R^(2n) - 1)/(R^n - 1), which is 2 at n = 0."""
+    return (1, 0, ((n, -1), (2 * n, 1))) if n else (2, 0, ())
+
+
+def _projective(n: int, step: int):
+    """(R^(step*(n+1)) - 1)/(R^step - 1): RP^n, CP^n, HP^n for step 1, 2, 4."""
+    return 1, 0, ((step, -1), (step * (n + 1), 1))
+
+
+def _phantom(n: int, step: int):
+    """(R^(step*(n+1)) + 1)/(R^step + 1) for even n: the phantom projective spaces."""
+    top = step * (n + 1)
+    return 1, 0, ((top, -1), (2 * step, -1), (step, 1), (2 * top, 1))
+
+
+def _grassmann(n: int, k: int, step: int):
+    """The Gaussian binomial: prod over j = 1..k of (R^(step*(n-j+1)) - 1)/(R^(step*j) - 1).
+
+    G(n, k) = G(n, n - k), so k <= n/2 and the top and bottom factors stay apart.
+    """
+    if n >= k > n - k:
+        k = n - k
+    return 1, 0, (pair for j in range(1, k + 1)
+                  for pair in ((step * j, -1), (step * (n - j + 1), 1)))
+
+
+def _linear_frames(n: int, k: int):
+    """R^n - R^j = R^j * (R^(n-j) - 1) for j < k: the choices of each of k independent vectors."""
+    return ((1, j, ((n - j, 1),)) for j in range(k))
+
+
+def _conic(m: int):
+    """The complex-coordinate compactification: CP^n * SS^(2n) for m = 2n, CP^m odd."""
+    if m % 2 == 0:
+        return _projective(m // 2, 2), _stereographic(m)
+    return (_projective(m, 2),)
+
+
+# -- builders --------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def sphere(n: int) -> MorphPoly:
-    """S^n = 2*(R^(n+1) - 1)/(R - 1): two cells in every dimension up to n."""
     if n < 0:
         raise BadParams("sphere dimension must be >= 0")
-    return _r_power_quotient(((n + 1, 1), (1, -1)), scale=2)
+    return _quotient([_sphere(n)])
 
 
 def poincare_sphere(n: int) -> MorphPoly:
     """The stereographic sphere R^n + 1."""
     if n < 0:
         raise BadParams("sphere dimension must be >= 0")
-    return _r_power_quotient(*_stereographic(n))
+    return _quotient([_stereographic(n)])
 
 
 @lru_cache(maxsize=None)
 def projective(n: int, step: int = 1) -> MorphPoly:
-    # (R^(step*(n+1)) - 1) / (R^step - 1): RP^n, CP^n, HP^n for step 1, 2, 4
     if n < 0:
         raise BadParams("projective dimension must be >= 0")
-    return _r_power_quotient(((step * (n + 1), 1), (step, -1)))
+    return _quotient([_projective(n, step)])
 
 
 @lru_cache(maxsize=None)
 def phantom(n: int, step: int = 1) -> MorphPoly:
-    # (R^(step*(n+1)) + 1) / (R^step + 1) for even n: the phantom projective spaces
     if n < 0 or n % 2:
         raise BadParams("phantom projective spaces exist in even dimensions")
-    top = step * (n + 1)
-    return _r_power_quotient(((2 * top, 1), (top, -1), (step, 1), (2 * step, -1)))
-
-
-def _product(factors) -> MorphPoly:
-    """The product of the factors; its size is checked as they are built, before any multiply."""
-    built, degree, bits = [], 0, 0
-    for f in factors:
-        built.append(f)
-        degree += f.degree()
-        bits += (sum(map(abs, f._ints)) - 1).bit_length()
-        _check_size(degree, bits)
-    return prod(built, start=MorphPoly.constant(1))
+    return _quotient([_phantom(n, step)])
 
 
 @lru_cache(maxsize=None)
 def orthogonal(n: int) -> MorphPoly:
-    return _product(sphere(j) for j in range(n))
+    return _quotient(map(_sphere, range(n)))
 
 
 @lru_cache(maxsize=None)
 def special_orthogonal(n: int) -> MorphPoly:
-    return _product(sphere(j) for j in range(1, n))
+    return _quotient(map(_sphere, range(1, n)))
 
 
 @lru_cache(maxsize=None)
 def general_linear(n: int) -> MorphPoly:
-    return _product(R ** n - R ** j for j in range(n))
+    return _quotient(_linear_frames(n, n))
 
 
 def unitary(n: int) -> MorphPoly:
-    return _product(sphere(2 * j - 1) for j in range(1, n + 1))
+    return _quotient(map(_sphere, range(1, 2 * n, 2)))
 
 
 def special_unitary(n: int) -> MorphPoly:
-    return _product(sphere(2 * j - 1) for j in range(2, n + 1))
+    return _quotient(map(_sphere, range(3, 2 * n, 2)))
 
 
 def symplectic(n: int) -> MorphPoly:
-    return _product(sphere(4 * j - 1) for j in range(1, n + 1))
+    return _quotient(map(_sphere, range(3, 4 * n, 4)))
 
 
 def stiefel(n: int, k: int) -> MorphPoly:
-    return _product(sphere(n - j) for j in range(1, k + 1))
+    return _quotient(map(_sphere, range(n - k, n)))
 
 
 def stiefel_linear(n: int, k: int) -> MorphPoly:
-    return _product(R ** n - R ** j for j in range(k))
+    return _quotient(_linear_frames(n, k))
 
 
 @lru_cache(maxsize=None)
 def grassmannian(n: int, k: int, step: int = 1) -> MorphPoly:
-    # the Gaussian binomial: prod over j = 1..k of (R^(step*(n-j+1)) - 1)/(R^(step*j) - 1)
-    top = [(step * (n - j + 1), 1) for j in range(1, k + 1)]
-    bottom = [(step * j, -1) for j in range(1, k + 1)]
-    return _r_power_quotient(top + bottom)
+    return _quotient([_grassmann(n, k, step)])
 
 
 def oriented_grassmannian(n: int, k: int) -> MorphPoly:
-    return div_exact(stiefel(n, k), special_orthogonal(k))
+    # the Stiefel manifold V(n, k) over SO(k)
+    return _quotient(map(_sphere, range(n - k, n)), over=map(_sphere, range(1, k)))
 
 
 _SPIN = {3: [3], 4: [3, 3], 5: [7, 3], 6: [7, 5, 3]}
 
 
 def spin(m: int) -> MorphPoly:
-    return _product(sphere(j) for j in _SPIN[m])
+    return _quotient(map(_sphere, _SPIN[m]))
 
 
 def conformal_compactification(p: int, q: int) -> MorphPoly:
     # SS(p) * RP(q) solves Rbar(p, q) = R^(p+q) + Rbar(p-1, q-1)*R + 1, Rbar(p, 0) = R^p + 1
-    pairs, scale = _stereographic(p)
-    return _r_power_quotient((*pairs, (q + 1, 1), (1, -1)), scale)
+    return _quotient([_stereographic(p), _projective(q, 1)])
 
 
 def twistor_stereographic(p: int, q: int) -> MorphPoly:
     # with C = R^2, SS(2p-1) * CP(q-1) solves TT(p, q) = C^(p+q-2)*R + TT(p-1, q-1)*C + 1,
     # TT(p, 1) = C^(p-1)*R + 1
-    return _r_power_quotient(((4 * p - 2, 1), (2 * p - 1, -1), (2 * q, 1), (2, -1)))
+    return _quotient([_stereographic(2 * p - 1), _projective(q - 1, 2)])
 
 
 def compact_complex_sphere(m: int) -> MorphPoly:
-    return div_exact(sphere(m + 1) * sphere(m), sphere(1))
+    return _quotient(map(_sphere, (m + 1, m)), over=[_sphere(1)])
 
 
 def conic_compactification(m: int) -> MorphPoly:
-    # the complex-coordinate compactification: CP^n * SS^(2n) for m = 2n, CP^m odd
-    if m % 2 == 0:
-        return projective(m // 2, step=2) * poincare_sphere(m)
-    return projective(m, step=2)
+    return _quotient(_conic(m))
 
 
 def conic_open(m: int) -> MorphPoly:
@@ -288,20 +398,21 @@ def _specs():
         ("SO", "n", "n >= 1", "special orthogonal group", special_orthogonal),
         ("GL", "n", "n >= 0", "general linear group", general_linear),
         ("SL", "n", "n >= 1", "special linear group GL(n)/(R - 1)",
-         lambda n: div_exact(general_linear(n), R - 1)),
+         lambda n: _quotient(_linear_frames(n, n), over=[(1, 0, ((1, 1),))])),
         ("SOpq", "p,q", "p >= 1, q >= 1", "pseudo-orthogonal group O(p)*SO(q)*R^(p*q)",
-         lambda p, q: orthogonal(p) * special_orthogonal(q) * R ** (p * q)),
+         lambda p, q: _quotient(chain(map(_sphere, range(p)), map(_sphere, range(1, q)),
+                                      [(1, p * q, ())]))),
         ("U", "n", "n >= 0", "unitary group: odd spheres", unitary),
         ("SU", "n", "n >= 1", "special unitary group", special_unitary),
         ("Cstr", "n", "n >= 1", "complex structures SO(2n)/U(n): even spheres",
-         lambda n: _product(sphere(2 * j) for j in range(1, n))),
+         lambda n: _quotient(map(_sphere, range(2, 2 * n, 2)))),
         ("Upq", "p,q", "p >= 1, q >= 1", "pseudo-unitary frames with flat factors",
-         lambda p, q: _product(sphere(2 * j - 1) * R ** (2 * q) for j in range(1, p + 1))
-         * unitary(q)),
+         lambda p, q: _quotient(chain(map(_sphere, range(1, 2 * p, 2)), [(1, 2 * p * q, ())],
+                                      map(_sphere, range(1, 2 * q, 2))))),
         ("Sp", "n", "n >= 0", "compact symplectic group: quaternionic frames", symplectic),
         ("Spin", "m", "m in 3..6", "spin group via low-dimensional isomorphisms", spin),
         ("SOspin", "m", "m in 3..6", "rotation group as Spin(m)/2",
-         lambda m: div_exact(spin(m), MorphPoly.constant(2))),
+         lambda m: _quotient(map(_sphere, _SPIN[m]), over=[(2, 0, ())])),
         ("V", "n,k", "0 <= k <= n", "Stiefel manifold of orthonormal k-frames", stiefel),
         ("VL", "n,k", "0 <= k <= n", "linearly independent k-frames", stiefel_linear),
         ("G", "n,k", "0 <= k <= n", "real Grassmannian of k-planes",
@@ -311,44 +422,43 @@ def _specs():
         ("Gh", "n,k", "0 <= k <= n", "quaternionic Grassmannian",
          lambda n, k: grassmannian(n, k, 4)),
         ("Flag", "n,k1..ks", "0 < k1 < .. < ks < n", "flag manifold as nested Grassmannians",
-         lambda n, *ks: _product(grassmannian(a, b, 1) for a, b in pairwise((n, *ks[::-1])))),
+         lambda n, *ks: _quotient(_grassmann(a, b, 1) for a, b in pairwise((n, *ks[::-1])))),
         ("NC", "n", "n >= 2", "nullcone 1 + S(n-1)*S(n-2)*Rp",
-         lambda n: 1 + sphere(n - 1) * sphere(n - 2) * P),
+         lambda n: 1 + _quotient(map(_sphere, (n - 1, n - 2))) * P),
         ("CS", "m", "m >= 0", "complex sphere: sphere tangent bundle S(m)*R^m",
-         lambda m: sphere(m) * R ** m),
+         lambda m: _quotient([_sphere(m), (1, m, ())])),
         ("CSbar", "m", "m >= 0", "compact complex sphere S(m+1)*S(m)/S(1)",
          compact_complex_sphere),
         ("CSS", "m", "m >= 0", "complex sphere, complex-coordinate count", conic_open),
         ("CSSbar", "m", "m >= 0", "compactified complex sphere, complex-coordinate count",
          conic_compactification),
         ("Spq", "a,b", "a, b >= 0", "projectivized nullcone S(a)*RP(b)",
-         lambda a, b: sphere(a) * projective(b, 1)),
+         lambda a, b: _quotient([_sphere(a), _projective(b, 1)])),
         ("Rbar", "p,q", "p >= q >= 0", "conformal compactification of flat signature space",
          conformal_compactification),
         ("NG", "p,q,k", "p >= q >= k >= 1", "null Grassmannian G(p,k)*S(q-1)..S(q-k)",
-         lambda p, q, k: grassmannian(p, k, 1) * _product(sphere(q - j) for j in range(1, k + 1))),
+         lambda p, q, k: _quotient(chain([_grassmann(p, k, 1)], map(_sphere, range(q - k, q))))),
         ("NGs", "p,q,k", "p >= q >= k >= 1", "stereographic null Grassmannian",
-         lambda p, q, k: grassmannian(q, k, 1)
-         * _product(poincare_sphere(p - j) for j in range(1, k + 1))),
+         lambda p, q, k: _quotient(chain([_grassmann(q, k, 1)],
+                                         map(_stereographic, range(p - k, p))))),
         ("NGn", "n,k", "n >= 2k >= 2", "null planes in complex n-space",
-         lambda n, k: div_exact(_product(sphere(n - j) for j in range(1, 2 * k + 1)), unitary(k))),
+         lambda n, k: _quotient(map(_sphere, range(n - 2 * k, n)),
+                                over=map(_sphere, range(1, 2 * k, 2)))),
         ("NGns", "n,k", "n >= 2k >= 2", "stereographic null planes in complex n-space",
-         lambda n, k: div_exact(
-             _product(conic_compactification(n - 2 * j) for j in range(1, k + 1)),
-             _product(projective(i, 2) for i in range(1, k)))),
+         lambda n, k: _quotient(chain.from_iterable(_conic(n - 2 * j) for j in range(1, k + 1)),
+                                over=(_projective(i, 2) for i in range(1, k)))),
         ("T", "p,q", "p, q >= 1", "twistor space S(2p-1)*CP(q-1)",
-         lambda p, q: sphere(2 * p - 1) * projective(q - 1, 2)),
+         lambda p, q: _quotient([_sphere(2 * p - 1), _projective(q - 1, 2)])),
         ("TT", "p,q", "p >= q >= 1", "stereographic twistor space", twistor_stereographic),
         ("NGc", "p,q,k", "p >= q >= k >= 1", "null planes for the pseudo-hermitian form",
-         lambda p, q, k: div_exact(
-             _product(sphere(2 * p - 2 * j + 1) * sphere(2 * q - 2 * j + 1)
-                      for j in range(1, k + 1)),
-             unitary(k))),
+         lambda p, q, k: _quotient(chain(map(_sphere, range(2 * (p - k) + 1, 2 * p, 2)),
+                                         map(_sphere, range(2 * (q - k) + 1, 2 * q, 2))),
+                                   over=map(_sphere, range(1, 2 * k, 2)))),
         ("NGcs", "p,q,k", "p >= q >= k >= 1", "stereographic pseudo-hermitian null planes",
-         lambda p, q, k: _product(poincare_sphere(2 * p - 2 * j + 1) for j in range(1, k + 1))
-         * grassmannian(q, k, 2)),
+         lambda p, q, k: _quotient(chain(map(_stereographic, range(2 * (p - k) + 1, 2 * p, 2)),
+                                         [_grassmann(q, k, 2)]))),
         ("LS", "p", "p >= 1", "Lie sphere S(p-1)*RP(1)",
-         lambda p: sphere(p - 1) * projective(1, 1)),
+         lambda p: _quotient([_sphere(p - 1), _projective(1, 1)])),
     ]
     return [EntrySpec(i, a, v, c, _validity_check(a, v), bld) for i, a, v, c, bld in rows]
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import prod
+from math import isqrt, prod
 from operator import sub
 
 from .quantity import (
@@ -41,7 +41,10 @@ from .quantity import (
 )
 from .catalog import (
     BadParams,
-    _r_power_quotient,
+    _phantom,
+    _projective,
+    _quotient,
+    _stereographic,
     grassmannian,
     phantom,
     poincare_sphere,
@@ -105,7 +108,9 @@ _FAMILY_RANK = {"SS": 0, "RP": 1, "CP": 2, "HP": 3, "hopf": 4, "Ph": 5}
 
 @lru_cache(maxsize=None)
 def _divisors(m: int):
-    return tuple(d for d in range(1, m + 1) if m % d == 0)
+    # ascending, as _mobius needs: the divisors up to isqrt(m), then their cofactors
+    low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return tuple(low + [m // d for d in reversed(low) if d * d != m])
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +122,7 @@ def _mobius(n: int) -> int:
 @lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> MorphPoly:
     """Phi_d = prod (R^m - 1)^mu(d/m) over the divisors m of d."""
-    return _r_power_quotient(tuple((m, _mobius(d // m)) for m in _divisors(d)))
+    return _quotient([(1, 0, [(m, _mobius(d // m)) for m in _divisors(d)])])
 
 
 @lru_cache(maxsize=None)
@@ -160,30 +165,31 @@ def _cyclotomic_exponents(c, ds):
 def _dictionary(max_degree: int):
     """Candidates (family, name, params, build, exponents) of degree <= max_degree, best first.
 
-    `build()` makes the polynomial prod Phi_d^e_d of the cyclotomic exponents {d: e_d}.
+    `build()` makes the polynomial prod Phi_d^e_d of the cyclotomic exponents {d: e_d},
+    read from the pairs of the catalog block (scale, a, pairs) that `build` makes.
     """
     out = []
 
-    def add(family, name, params, build, *pairs):
+    def add(family, name, params, build, block):
+        pairs = block[2]
         key = (-sum(m * k for m, k in pairs), _FAMILY_RANK[family])
         out.append((key, (family, name, params, build, _exponents(pairs))))
 
     for k in range(2, max_degree + 1):
-        add("SS", "SS", (k,), partial(poincare_sphere, k), (2 * k, 1), (k, -1))
+        add("SS", "SS", (k,), partial(poincare_sphere, k), _stereographic(k))
     for m in range(1, max_degree // 2 + 1):
-        add("RP", "RP", (2 * m,), partial(projective, 2 * m, 1), (2 * m + 1, 1), (1, -1))
+        add("RP", "RP", (2 * m,), partial(projective, 2 * m, 1), _projective(2 * m, 1))
     for step, family in ((2, "CP"), (4, "HP")):
         for k in range(2, max_degree // step + 1):
-            add(family, family, (k,), partial(projective, k, step), (step * (k + 1), 1), (step, -1))
+            add(family, family, (k,), partial(projective, k, step), _projective(k, step))
     for k in range(3, max_degree + 1):
         # the middle factor sum(R^(i*k)) for i <= s is projective(s, k)
         for s in range(2, max_degree // k + 1):
             if len(_divisors(s + 1)) == 2:  # s + 1 prime
-                add("hopf", None, (s, k), partial(projective, s, k), (k * (s + 1), 1), (k, -1))
+                add("hopf", None, (s, k), partial(projective, s, k), _projective(s, k))
     for m in range(1, max_degree // 2 + 1):
         name = {1: "RPh", 2: "CPh", 4: "HPh"}.get(m)
-        add("Ph", name, (2,) if name else (m,), partial(phantom, 2, m),
-            (6 * m, 1), (3 * m, -1), (2 * m, -1), (m, 1))
+        add("Ph", name, (2,) if name else (m,), partial(phantom, 2, m), _phantom(2, m))
     return [c for _, c in sorted(out, key=lambda c: c[0])]
 
 

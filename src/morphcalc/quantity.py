@@ -53,7 +53,12 @@ class SizeLimitExceeded(MorphError):
 
 
 # Largest accepted estimate of a result's size, (degree + 1) * coefficient bits.
-# Dense arithmetic near it takes seconds: Rp^2000 sits just below.
+# A power base^e takes degree e * deg(base) and e * bits(sum |c_i| - 1) bits.  A
+# catalog entry scale * R^a * prod (R^m - 1)^k of degree d is estimated from its
+# pairs as (d + 1) * bits(V // (d + 1)), V its coefficient total, the mean
+# raised for sparse products such as prod (R^m + 1) (see catalog._quotient and
+# catalog._peak).  Dense arithmetic near the budget takes seconds: Rp^2000 sits
+# just below.
 SIZE_BUDGET = 1 << 22
 
 

@@ -2,10 +2,12 @@ import dataclasses
 import inspect
 import time
 from functools import lru_cache
+from itertools import pairwise, product
 from math import prod
 
 import pytest
 
+from morphcalc import catalog
 from morphcalc.catalog import (
     _REGISTRY,
     BadParams,
@@ -383,6 +385,11 @@ def test_large_builds_are_fast_and_exact():
     assert evaluate_at(rbar, 2) == (2 ** 1500 + 1) * (2 ** 1501 - 1)
     gl = catalog_quantity("GL", [40])
     assert gl.degree() == 1600 and gl.r_coeffs()[1600] == 1
+    m = 30000  # assert on values: a failing assert renders its operands, slow at this degree
+    csbar = evaluate_at(catalog_quantity("CSbar", [m]), 2)
+    assert csbar == 2 * (2 ** (m + 2) - 1) * (2 ** (m + 1) - 1) // 3
+    nc = evaluate_at(catalog_quantity("NC", [m]), 2)
+    assert nc == 1 + 2 * (2 ** m - 1) * (2 ** (m - 1) - 1)
     assert time.monotonic() - t0 < 2
 
 
@@ -396,3 +403,145 @@ def test_products_under_the_size_budget_still_build(entry, n, degree, value_at):
     q = catalog_quantity(entry, [n])
     assert q.degree() == degree
     assert all(evaluate_at(q, r) == value_at(r) for r in (2, 3, 5, -2))
+
+
+# -- the pair rows against their composition by multiply and exact division ---
+#
+# Each entry below restates a catalog row the way it reads: a product or an
+# exact quotient of spheres, projective spaces and Grassmannians, built here
+# with MorphPoly * and div_exact from geometric sums and the Gaussian binomial
+# recurrence, reading no pair list.
+
+
+def _sph(n):
+    return 2 * _geometric(n, 1)
+
+
+def _geometric(n, step):
+    return MorphPoly.from_r_coeffs(dict.fromkeys(range(0, step * n + 1, step), 1))
+
+
+def _grass(n, k, step=1):
+    return MorphPoly.from_r_coeffs(
+        {step * e: c for e, c in gaussian_binomial(n, k).r_coeffs().items()})
+
+
+def _times(factors):
+    return prod(factors, start=MorphPoly.constant(1))
+
+
+def _unitary(k):
+    return _times(_sph(2 * j - 1) for j in range(1, k + 1))
+
+
+def _spin(m):
+    return _times(map(_sph, {3: [3], 4: [3, 3], 5: [7, 3], 6: [7, 5, 3]}[m]))
+
+
+def _conic(m):
+    return _geometric(m // 2, 2) * (R ** m + 1) if m % 2 == 0 else _geometric(m, 2)
+
+
+_COMPOSED = {
+    "S": _sph,
+    "SS": lambda n: R ** n + 1,
+    "RP": lambda n: _geometric(n, 1),
+    "CP": lambda n: _geometric(n, 2),
+    "HP": lambda n: _geometric(n, 4),
+    "RPh": lambda n: div_exact(R ** (n + 1) + 1, R + 1),
+    "CPh": lambda n: div_exact(R ** (2 * n + 2) + 1, R ** 2 + 1),
+    "HPh": lambda n: div_exact(R ** (4 * n + 4) + 1, R ** 4 + 1),
+    "O": lambda n: _times(_sph(j) for j in range(n)),
+    "SO": lambda n: _times(_sph(j) for j in range(1, n)),
+    "GL": lambda n: _times(R ** n - R ** j for j in range(n)),
+    "SL": lambda n: div_exact(_times(R ** n - R ** j for j in range(n)), R - 1),
+    "SOpq": lambda p, q: (_times(_sph(j) for j in range(p)) * _times(_sph(j) for j in range(1, q))
+                          * R ** (p * q)),
+    "U": _unitary,
+    "SU": lambda n: _times(_sph(2 * j - 1) for j in range(2, n + 1)),
+    "Cstr": lambda n: _times(_sph(2 * j) for j in range(1, n)),
+    "Upq": lambda p, q: (_times(_sph(2 * j - 1) * R ** (2 * q) for j in range(1, p + 1))
+                         * _unitary(q)),
+    "Sp": lambda n: _times(_sph(4 * j - 1) for j in range(1, n + 1)),
+    "Spin": _spin,
+    "SOspin": lambda m: div_exact(_spin(m), MorphPoly.constant(2)),
+    "V": lambda n, k: _times(_sph(n - j) for j in range(1, k + 1)),
+    "VL": lambda n, k: _times(R ** n - R ** j for j in range(k)),
+    "G": _grass,
+    "Gor": lambda n, k: div_exact(_times(_sph(n - j) for j in range(1, k + 1)),
+                                  _times(_sph(j) for j in range(1, k))),
+    "Gc": lambda n, k: _grass(n, k, 2),
+    "Gh": lambda n, k: _grass(n, k, 4),
+    "Flag": lambda n, *ks: _times(_grass(a, b) for a, b in pairwise((n, *ks[::-1]))),
+    "CS": lambda m: _sph(m) * R ** m,
+    "CSbar": lambda m: div_exact(_sph(m + 1) * _sph(m), _sph(1)),
+    "CSSbar": _conic,
+    "Spq": lambda a, b: _sph(a) * _geometric(b, 1),
+    "Rbar": lambda p, q: (R ** p + 1) * _geometric(q, 1),
+    "NG": lambda p, q, k: _grass(p, k) * _times(_sph(q - j) for j in range(1, k + 1)),
+    "NGs": lambda p, q, k: _grass(q, k) * _times(R ** (p - j) + 1 for j in range(1, k + 1)),
+    "NGn": lambda n, k: div_exact(_times(_sph(n - j) for j in range(1, 2 * k + 1)), _unitary(k)),
+    "NGns": lambda n, k: div_exact(_times(_conic(n - 2 * j) for j in range(1, k + 1)),
+                                   _times(_geometric(i, 2) for i in range(1, k))),
+    "T": lambda p, q: _sph(2 * p - 1) * _geometric(q - 1, 2),
+    "TT": lambda p, q: (R ** (2 * p - 1) + 1) * _geometric(q - 1, 2),
+    "NGc": lambda p, q, k: div_exact(
+        _times(_sph(2 * p - 2 * j + 1) * _sph(2 * q - 2 * j + 1) for j in range(1, k + 1)),
+        _unitary(k)),
+    "NGcs": lambda p, q, k: (_times(R ** (2 * p - 2 * j + 1) + 1 for j in range(1, k + 1))
+                             * _grass(q, k, 2)),
+    "LS": lambda p: _sph(p - 1) * _geometric(1, 1),
+}
+
+
+def test_pair_rows_match_their_composition_by_multiply_and_division():
+    assert set(_COMPOSED) == {spec.id for spec in _REGISTRY.values()} - {"NC", "CSS"}
+    checked = dict.fromkeys(_COMPOSED, 0)
+    for spec in _REGISTRY.values():
+        if spec.id not in _COMPOSED:
+            continue
+        arities = range(2, 5) if spec.id == "Flag" else [len(spec.arity.split(","))]
+        for arity in arities:
+            top = {1: 12, 2: 9, 3: 7, 4: 8}[arity]
+            for ps in product(range(top), repeat=arity):
+                if spec.check(ps):
+                    assert catalog_quantity(spec.id, ps) == _COMPOSED[spec.id](*ps), (spec.id, ps)
+                    checked[spec.id] += 1
+    assert min(checked.values()) >= 4, checked
+
+
+# rows whose coefficients can be negative, and the sums NC and CSS, whose
+# estimate is that of a part
+_UNBOUNDED = {"GL", "SL", "VL", "RPh", "CPh", "HPh", "NC", "CSS"}
+_SPARSE = {"NGs", "NGcs", "Rbar", "TT", "CSSbar"}
+
+
+def test_size_estimates_bound_the_measured_size(monkeypatch):
+    # the estimate reads a lower bound on the largest coefficient, and for products of
+    # stereographic spheres R^m + 1 that bound is within a factor of two in bits
+    estimates, check = [], catalog._check_size
+
+    def record(degree, bits):
+        estimates.append((degree + 1) * max(bits, 1))
+        check(degree, bits)
+
+    monkeypatch.setattr(catalog, "_check_size", record)
+    monkeypatch.setattr(catalog, "SIZE_BUDGET", 0)  # so that every build reads its full estimate
+    caches = [f for f in vars(catalog).values() if hasattr(f, "cache_clear")]
+    for spec in _REGISTRY.values():
+        if spec.id in _UNBOUNDED:
+            continue
+        arities = range(2, 5) if spec.id == "Flag" else [len(spec.arity.split(","))]
+        for arity in arities:
+            top = {1: 24, 2: 12, 3: 8, 4: 8}[arity]
+            for ps in product(range(top), repeat=arity):
+                if not spec.check(ps):
+                    continue
+                for f in caches:
+                    f.cache_clear()
+                estimates.clear()
+                q = catalog_quantity(spec.id, ps)
+                measured = len(q._ints) * max(abs(c).bit_length() for c in q._ints)
+                assert estimates[-1] <= measured, (spec.id, ps)
+                if spec.id in _SPARSE:
+                    assert 2 * estimates[-1] >= measured, (spec.id, ps)

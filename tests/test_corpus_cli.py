@@ -187,7 +187,12 @@ def test_cli_exit_codes():
     assert _run(["eval", "R - 2", "--form", "mixed"])[0] == 4
 
 
-@pytest.mark.parametrize("expr", ["R^99999999999", "S(999999999)", "Rp^3000000", "O(10000)"])
+@pytest.mark.parametrize("expr", [
+    "R^99999999999", "S(999999999)", "Rp^3000000", "O(10000)",
+    "G(20000000,10000000)", "Gh(20000000,10000000)", "O(1000000000)",
+    "SOpq(100,100)", "T(500000,500000)", "NC(1000000)", "U(100)", "Sp(80)",
+    "NGs(200000,20,20)", "NGcs(200000,20,20)", "NGs(400000,8,8)", "NGcs(100000,20,20)",
+])
 def test_cli_results_over_the_size_budget_exit_4(capsys, expr):
     t0 = time.monotonic()
     assert _run(["eval", expr]) == (4, "")
