@@ -66,9 +66,8 @@ def _quotient(factors, over=()) -> MorphPoly:
       estimate is (d + 1) * bits(V // (d + 1)), the bits of the mean
       coefficient; with no divisors, V // (d + 1) is raised to _peak's bound.
 
-    Every factor with k > 0 is multiplied in first, so each division after it
-    is exact whenever the whole quotient is a polynomial; a division that
-    leaves a remainder raises NonZeroRemainder.
+    The product is built by `_times_pairs`; a division that leaves a
+    remainder raises NonZeroRemainder.
     """
     scales = {-1: 1, 1: 1}  # of the divisors and of the factors
     shift = degree = width = step = 0
@@ -112,20 +111,33 @@ def _quotient(factors, over=()) -> MorphPoly:
         if not over and (degree + 1) * value.bit_length() > SIZE_BUDGET:  # else any peak passes
             peak = max(peak, _peak(value, width, step, gaps))
         _check_size(degree, peak.bit_length())
-    c = [scale]  # c[i] is the coefficient of R^i
-    for m, k in merged.items():
+    c = _times_pairs([scale], merged.items())
+    if c is None:
+        raise NonZeroRemainder("a factor R^m - 1 leaves a non-zero remainder")
+    return _normalised([0] * shift + c, 0)
+
+
+def _times_pairs(c, pairs):
+    """c * prod (R^m - 1)^k over the (m, k) pairs, on R-coefficients; None on a remainder.
+
+    c[i] is the coefficient of R^i.  Every k > 0 is multiplied in first, so
+    each division after it is exact whenever the whole product is a
+    polynomial; each division by R^m - 1 is one top-down pass.
+    """
+    c = list(c)
+    for m, k in pairs:
         for _ in range(k):  # times R^m - 1
             shifted = [0] * m + c
             shifted[:len(c)] = map(operator.sub, shifted[:len(c)], c)
             c = shifted
-    for m, k in merged.items():
+    for m, k in pairs:
         for _ in range(-k):  # over R^m - 1: quotient q[i - m] = c[i] + q[i], top down
             for i in range(len(c) - 1 - m, -1, -1):
                 c[i] += c[i + m]
             if any(c[:m]):  # what is left below R^m is the remainder
-                raise NonZeroRemainder(f"R^{m} - 1 leaves a non-zero remainder")
+                return None
             del c[:m]
-    return _normalised([0] * shift + c, 0)
+    return c
 
 
 def _peak(value: int, width: int, step: int, gaps) -> int:
@@ -150,11 +162,6 @@ def _peak(value: int, width: int, step: int, gaps) -> int:
     spread = max(sum(gaps[len(gaps) - half:]) - sum(gaps[:half]) + width, 0)
     step = gcd(step, *(g - gaps[0] for g in gaps))
     return value * comb(len(gaps), half) // ((spread // step + 1 if step else 1) << len(gaps))
-
-
-def _r_power_quotient(pairs, scale: int = 1) -> MorphPoly:
-    """scale * prod (R^m - 1)^k over the (m, k) pairs: the tests' spelling of _quotient."""
-    return _quotient([(scale, 0, pairs)])
 
 
 # -- the five blocks: (scale, a, pairs) factors, divisor pairs first ----------

@@ -16,11 +16,13 @@ and which CP the stray (R + 1) belongs to only becomes clear at the end, so
 leftover (R + 1) factors are merged into the smallest emitted CP afterwards.
 This deterministic order reproduces all the worked Grassmannian tables.
 
-The exponents are read on plain int lists.  Phi_d divides R^d - 1, so the
-input's remainder by Phi_d is that of its fold modulo R^d - 1, the d sums of
-every d-th coefficient.  That fold (degree < d) is divided by Phi_d first,
-and the whole input only when the fold leaves no remainder, so no division
-by Phi_d fails.
+The exponents are read on plain int lists without building any Phi_d:
+dividing by Phi_d is multiplying by prod (R^m - 1)^-mu(d/m), which
+`catalog._times_pairs` does in one pass per factor.  Phi_d divides R^d - 1,
+so the input's remainder by Phi_d is that of its fold modulo R^d - 1, the d
+sums of every d-th coefficient.  That fold (degree < d) is divided by Phi_d
+first, and the whole input only when the fold leaves no remainder, so no
+division of the input fails.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import isqrt, prod
-from operator import sub
 
 from .quantity import (
     MorphError,
@@ -45,6 +46,7 @@ from .catalog import (
     _projective,
     _quotient,
     _stereographic,
+    _times_pairs,
     grassmannian,
     phantom,
     poincare_sphere,
@@ -120,9 +122,15 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _over_cyclotomic(d: int):
+    """Pairs (m, -mu(d/m)), times which `_times_pairs` divides by Phi_d, and deg Phi_d."""
+    pairs = tuple((m, -_mobius(d // m)) for m in _divisors(d) if _mobius(d // m))
+    return pairs, -sum(m * k for m, k in pairs)
+
+
 def _cyclotomic(d: int) -> MorphPoly:
     """Phi_d = prod (R^m - 1)^mu(d/m) over the divisors m of d."""
-    return _quotient([(1, 0, [(m, _mobius(d // m)) for m in _divisors(d)])])
+    return _quotient((), over=[(1, 0, _over_cyclotomic(d)[0])])
 
 
 @lru_cache(maxsize=None)
@@ -134,18 +142,6 @@ def _exponents(pairs) -> Counter:
     return +exponents
 
 
-def _divmod_monic(c, phi):
-    """Quotient and remainder of the int list c by the monic int list phi, low powers first."""
-    rem = list(c)
-    low = phi[:-1]
-    quo = [0] * max(len(rem) - len(low), 0)
-    for k in range(len(quo) - 1, -1, -1):
-        top = quo[k] = rem.pop()
-        if top:
-            rem[k:] = map(sub, rem[k:], map(top.__mul__, low))
-    return quo, rem
-
-
 def _cyclotomic_exponents(c, ds):
     """Exponents {d: e_d} of the Phi_d, d in ds, in sum(c[i] * R^i), and the ints left.
 
@@ -153,11 +149,11 @@ def _cyclotomic_exponents(c, ds):
     """
     exponents = Counter()
     for d in ds:
-        phi = _cyclotomic(d)._ints
-        while len(phi) <= len(c):  # deg Phi_d <= deg c
-            if any(_divmod_monic([sum(c[j::d]) for j in range(d)], phi)[1]):
+        pairs, degree = _over_cyclotomic(d)
+        while degree < len(c):  # deg Phi_d <= deg c
+            if _times_pairs([sum(c[j::d]) for j in range(d)], pairs) is None:
                 break
-            c = _divmod_monic(c, phi)[0]
+            c = _times_pairs(c, pairs)
             exponents[d] += 1
     return exponents, c
 
@@ -216,7 +212,7 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
 
     # trailing halfline circles: RP^1 = R + 1; the other leftovers join the residual
     spare = exponents.pop(2, 0)
-    current = current * prod(_cyclotomic(d) ** e for d, e in exponents.items())
+    current = current * prod(_cyclotomic(d) ** e for d, e in exponents.items() if e)
 
     # each spare (R + 1) merges with the smallest CP into an odd RP
     merged = []

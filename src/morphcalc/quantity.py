@@ -302,7 +302,7 @@ class MorphPoly:
         return bool(self._ints)
 
     def __repr__(self):
-        return f"MorphPoly({render(self, 'p')!r})"
+        return f"MorphPoly({render(self, 'r')!r})"
 
     def __str__(self):
         return render(self, "r")

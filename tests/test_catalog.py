@@ -6,6 +6,7 @@ from itertools import pairwise, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphcalc import catalog
 from morphcalc.catalog import (
@@ -13,7 +14,8 @@ from morphcalc.catalog import (
     BadParams,
     InternalDivisionFailed,
     UnknownEntry,
-    _r_power_quotient,
+    _quotient,
+    _times_pairs,
     catalog_entry,
     catalog_quantity,
     gaussian_binomial,
@@ -353,24 +355,43 @@ def test_grassmannians_are_gaussian_binomials_in_r_to_the_step():
 @pytest.mark.parametrize("pairs", [((3, 1), (2, -1)), ((1, 1), (2, -1)), ((2, -1),)])
 def test_r_power_quotient_raises_on_a_remainder(pairs):
     with pytest.raises(NonZeroRemainder):
-        _r_power_quotient(pairs)
+        _quotient([(1, 0, pairs)])
 
 
 def test_r_power_quotient_rejects_factors_without_r():
     with pytest.raises(BadParams):
-        _r_power_quotient(((0, 1), (1, -1)))
+        _quotient([(1, 0, ((0, 1), (1, -1)))])
     with pytest.raises(BadParams):
         grassmannian(2, 3)  # its top factor would be R^0 - 1
 
 
 def test_r_power_quotient_divides_after_multiplying():
-    assert _r_power_quotient(((2, -1), (4, 1))) == R ** 2 + 1
-    assert _r_power_quotient(((1, 2), (1, -1)), scale=3) == 3 * (R - 1)
-    assert _r_power_quotient((), scale=2) == 2
+    assert _quotient([(1, 0, ((2, -1), (4, 1)))]) == R ** 2 + 1
+    assert _quotient([(3, 0, ((1, 2), (1, -1)))]) == 3 * (R - 1)
+    assert _quotient([(2, 0, ())]) == 2
+
+
+def _from_ints(c):
+    return MorphPoly.from_r_coeffs(dict(enumerate(c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=12),
+       st.lists(st.tuples(st.integers(1, 6), st.integers(-2, 2)), max_size=4))
+def test_times_pairs_matches_multiply_and_exact_division(c, pairs):
+    top = prod(((R ** m - 1) ** k for m, k in pairs if k > 0), start=_from_ints(c))
+    bottom = prod(((R ** m - 1) ** -k for m, k in pairs if k < 0), start=MorphPoly.constant(1))
+    got = _times_pairs(c, pairs)
+    try:
+        expected = div_exact(top, bottom)
+    except NonZeroRemainder:
+        assert got is None
+    else:
+        assert got is not None and _from_ints(got) == expected
 
 
 def test_a_builder_remainder_is_an_internal_division_failure(monkeypatch):
-    slip = dataclasses.replace(lookup("S"), build=lambda n: _r_power_quotient(((n, 1), (2, -1))))
+    slip = dataclasses.replace(lookup("S"), build=lambda n: _quotient([(1, 0, ((n, 1), (2, -1)))]))
     monkeypatch.setitem(_REGISTRY, "s", slip)
     with pytest.raises(InternalDivisionFailed, match=r"S\[3\]: internal exact division failed"):
         catalog_entry("S", [3])
@@ -391,6 +412,13 @@ def test_large_builds_are_fast_and_exact():
     nc = evaluate_at(catalog_quantity("NC", [m]), 2)
     assert nc == 1 + 2 * (2 ** m - 1) * (2 ** (m - 1) - 1)
     assert time.monotonic() - t0 < 2
+
+
+def test_repr_of_a_large_quantity_is_fast():
+    q = sphere(6000)
+    t0 = time.monotonic()
+    repr(q)
+    assert time.monotonic() - t0 < 1
 
 
 @pytest.mark.parametrize("entry,n,degree,value_at", [

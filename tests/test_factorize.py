@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from math import prod
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from morphcalc.catalog import (
     BadParams,
     gaussian_binomial,
+    grassmannian,
     phantom,
     poincare_sphere,
     projective,
@@ -377,3 +379,11 @@ def test_reading_exponents_makes_no_failed_division(monkeypatch):
     for q in (grassmann_divide("real", 40, 5), sphere(200)):
         assert factor_into_catalog(q).product() == q
     assert made == []
+
+
+@pytest.mark.parametrize("build,params", [(sphere, (1000,)), (grassmannian, (200, 5))])
+def test_large_factorizations_round_trip_fast(build, params):
+    q = build(*params)
+    t0 = time.monotonic()
+    assert factor_into_catalog(q).product() == q
+    assert time.monotonic() - t0 < 2
