@@ -1,36 +1,43 @@
 """Grassmann division and factorization into catalog irreducibles.
 
-The factor dictionary holds the quantities that act as irreducibles here:
-stereographic spheres R^k + 1, even real projective spaces, complex and
-quaternionic projective spaces, phantom planes R^(2m) - R^m + 1, and the
-middle factors sum(R^(i*k)) of the repeated-suspension identities (s + 1
-prime so they do not split into smaller factors of the same shape).
+The irreducibles are the stereographic spheres R^k + 1, the even real, the
+complex and the quaternionic projective spaces, the middle factors
+sum(R^(i*k)) of the repeated-suspension identities (s + 1 prime so they do
+not split into smaller factors of the same shape) and the phantom planes
+R^(2m) - R^m + 1.  All but the phantom planes are one quotient,
+projective(n, step) = (R^(step*(n+1)) - 1)/(R^step - 1), and one rule names
+the pair (n, step): SS(step) for n = 1, RP(n) for even n and step 1, CP(n)
+and HP(n) for step 2 and 4, and the middle factor for other steps >= 3.
 
 Every candidate is a product of cyclotomic polynomials Phi_d, because
 R^m - 1 = prod_{d | m} Phi_d, so it divides the input exactly when its
-exponents {d: e_d} fit under the input's.  Greedy order: strip powers of R,
-read the input's exponents once, then take each candidate, by descending
-degree (family order breaks ties), as many times as it fits.  Odd real
-projective spaces are intentionally not scanned: RP^(2m+1) = (R + 1) * CP^m,
-and which CP the stray (R + 1) belongs to only becomes clear at the end, so
-leftover (R + 1) factors are merged into the smallest emitted CP afterwards.
-This deterministic order reproduces all the worked Grassmannian tables.
+exponents {d: e_d} fit under the input's.  Greedy order: strip powers of R
+and read the input's exponents once.  The candidates are then generated
+from that support alone: those whose top index, step*(n+1) or 6m for a
+phantom plane, has a non-zero exponent.  Each is taken, by descending
+degree (family, then step, breaks ties), as many times as it fits.  Odd
+real projective spaces are intentionally not scanned: RP^(2m+1) =
+(R + 1) * CP^m, and which CP the stray (R + 1) belongs to only becomes
+clear at the end.  So up to that many copies of the last CP found, the
+smallest, become odd RPs in its place, and the rest stay RP(1).  This
+deterministic order reproduces all the worked Grassmannian tables.
 
 The exponents are read on plain int lists without building any Phi_d:
 dividing by Phi_d is multiplying by prod (R^m - 1)^-mu(d/m), which
 `catalog._times_pairs` does in one pass per factor.  Phi_d divides R^d - 1,
-so the input's remainder by Phi_d is that of its fold modulo R^d - 1, the d
-sums of every d-th coefficient.  That fold (degree < d) is divided by Phi_d
-first, and the whole input only when the fold leaves no remainder, so no
-division of the input fails.
+so the input's remainder by Phi_d is that of its fold modulo R^d - 1, its
+d-long slices added up.  That fold (degree < d) is divided by Phi_d first,
+and the whole input only when the fold leaves no remainder, so no division
+of the input fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import isqrt, prod
+from operator import add
 
 from .quantity import (
     MorphError,
@@ -45,11 +52,9 @@ from .catalog import (
     _phantom,
     _projective,
     _quotient,
-    _stereographic,
     _times_pairs,
     grassmannian,
     phantom,
-    poincare_sphere,
     projective,
 )
 
@@ -151,94 +156,83 @@ def _cyclotomic_exponents(c, ds):
     for d in ds:
         pairs, degree = _over_cyclotomic(d)
         while degree < len(c):  # deg Phi_d <= deg c
-            if _times_pairs([sum(c[j::d]) for j in range(d)], pairs) is None:
+            fold = list(c[:d])  # c modulo R^d - 1: its d-long slices added up
+            for i in range(d, len(c), d):
+                fold[:len(c) - i] = map(add, fold, c[i:i + d])
+            if _times_pairs(fold, pairs) is None:
                 break
             c = _times_pairs(c, pairs)
             exponents[d] += 1
     return exponents, c
 
 
-def _dictionary(max_degree: int):
-    """Candidates (family, name, params, build, exponents) of degree <= max_degree, best first.
+def _candidates(top: int):
+    """The candidates (key, family, name, params, build, exponents) whose top Phi_d is Phi_top.
 
-    `build()` makes the polynomial prod Phi_d^e_d of the cyclotomic exponents {d: e_d},
-    read from the pairs of the catalog block (scale, a, pairs) that `build` makes.
+    projective(n, step) tops at d = step*(n + 1) and phantom(2, m) at d = 6m.
+    `build()` makes the polynomial; the key (-degree, family rank, step)
+    orders the greedy scan.
     """
-    out = []
-
-    def add(family, name, params, build, block):
-        pairs = block[2]
-        key = (-sum(m * k for m, k in pairs), _FAMILY_RANK[family])
-        out.append((key, (family, name, params, build, _exponents(pairs))))
-
-    for k in range(2, max_degree + 1):
-        add("SS", "SS", (k,), partial(poincare_sphere, k), _stereographic(k))
-    for m in range(1, max_degree // 2 + 1):
-        add("RP", "RP", (2 * m,), partial(projective, 2 * m, 1), _projective(2 * m, 1))
-    for step, family in ((2, "CP"), (4, "HP")):
-        for k in range(2, max_degree // step + 1):
-            add(family, family, (k,), partial(projective, k, step), _projective(k, step))
-    for k in range(3, max_degree + 1):
-        # the middle factor sum(R^(i*k)) for i <= s is projective(s, k)
-        for s in range(2, max_degree // k + 1):
-            if len(_divisors(s + 1)) == 2:  # s + 1 prime
-                add("hopf", None, (s, k), partial(projective, s, k), _projective(s, k))
-    for m in range(1, max_degree // 2 + 1):
+    for step in _divisors(top)[:-1]:  # n >= 1
+        n = top // step - 1
+        if n == 1 < step:
+            family, name, params = "SS", "SS", (step,)
+        elif step in (2, 4) or step == 1 and n % 2 == 0:
+            family = name = {1: "RP", 2: "CP", 4: "HP"}[step]
+            params = (n,)
+        elif step > 2 and len(_divisors(n + 1)) == 2:  # n + 1 prime, so it does not split
+            family, name, params = "hopf", None, (n, step)
+        else:
+            continue
+        yield ((-n * step, _FAMILY_RANK[family], step), family, name, params,
+               partial(projective, n, step), _exponents(_projective(n, step)[2]))
+    if top % 6 == 0:
+        m = top // 6
         name = {1: "RPh", 2: "CPh", 4: "HPh"}.get(m)
-        add("Ph", name, (2,) if name else (m,), partial(phantom, 2, m), _phantom(2, m))
-    return [c for _, c in sorted(out, key=lambda c: c[0])]
+        yield ((-2 * m, _FAMILY_RANK["Ph"], m), "Ph", name, (2,) if name else (m,),
+               partial(phantom, 2, m), _exponents(_phantom(2, m)[2]))
 
 
 def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
-    """Greedy extraction of the factor dictionary; leftover is the residual."""
+    """Greedy extraction of the candidates; leftover is the residual."""
     if not classify(q).integer_type:
         raise NotIntegerType(f"{render(q, 'r')} is not of integer type")
 
     # powers of R first: shift away the lowest R-exponent
     low = next(i for i, c in enumerate(q._ints) if c)
-    found = [("R", None, (), R)] * low  # (family, name, params, poly) with repetition
+    factors = [Factor("R", None, (), R, low)]
 
-    candidates = _dictionary(len(q._ints) - 1 - low)
-    exponents, rest = _cyclotomic_exponents(
-        q._ints[low:], sorted({2}.union(*(c[4] for c in candidates)))
-    )
+    # no candidate that fits tops above Phi_(3 * degree), the top of a phantom plane of that degree
+    degree = len(q._ints) - 1 - low
+    exponents, rest = _cyclotomic_exponents(q._ints[low:], range(2, 3 * degree + 1))
     current = _normalised(rest, 0)
 
-    for family, name, params, build, need in candidates:
+    last_cp = None
+    candidates = sorted(c for top in exponents for c in _candidates(top))
+    for _, family, name, params, build, need in candidates:
         times = min(exponents[d] // e for d, e in need.items())
         if times:
             exponents.subtract({d: e * times for d, e in need.items()})
-            found += [(family, name, params, build())] * times
+            last_cp = len(factors) if family == "CP" else last_cp
+            factors.append(Factor(family, name, params, build(), times))
 
     # trailing halfline circles: RP^1 = R + 1; the other leftovers join the residual
     spare = exponents.pop(2, 0)
     current = current * prod(_cyclotomic(d) ** e for d, e in exponents.items() if e)
 
-    # each spare (R + 1) merges with the smallest CP into an odd RP
-    merged = []
-    cps = sorted(
-        (f for f in found if f[0] == "CP"), key=lambda f: f[2][0]
-    )
-    for f in found:
-        if f[0] == "CP" and spare and cps and f is cps[0]:
-            m = f[2][0]
-            merged.append(("RP", "RP", (2 * m + 1,), projective(2 * m + 1, 1)))
-            spare -= 1
-            cps.pop(0)
-        else:
-            merged.append(f)
-    for _ in range(spare):
-        merged.append(("RP", "RP", (1,), projective(1, 1)))
-
-    # collate multiplicities, preserving first-seen order
-    counts = {}
-    for key in merged:
-        counts[key] = counts.get(key, 0) + 1
-    factors = tuple(
-        Factor(family, name, params, poly, multiplicity)
-        for (family, name, params, poly), multiplicity in counts.items()
-    )
-    return FactorizationResult(factors=factors, residual=current)
+    # up to `spare` copies of the last CP found, the smallest, become RP(2m + 1) in its place
+    if spare and last_cp is not None:
+        cp = factors[last_cp]
+        odd = min(spare, cp.multiplicity)
+        m = cp.params[0]
+        factors[last_cp:last_cp + 1] = [
+            Factor("RP", "RP", (2 * m + 1,), projective(2 * m + 1, 1), odd),
+            replace(cp, multiplicity=cp.multiplicity - odd),
+        ]
+        spare -= odd
+    if spare:
+        factors.append(Factor("RP", "RP", (1,), projective(1, 1), spare))
+    return FactorizationResult(tuple(f for f in factors if f.multiplicity), current)
 
 
 # -- periodicity of the real Grassmann factorizations ----------------------

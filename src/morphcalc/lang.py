@@ -115,6 +115,15 @@ def _tokenize(source: str):
     return tokens
 
 
+def _nat(tok) -> int:
+    """The value of a NAT token; a literal over Python's int/str digit limit is a syntax error."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ExprSyntaxError(f"a {len(tok[1])}-digit number exceeds the integer digit limit",
+                              tok[2]) from None
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
@@ -175,14 +184,14 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("NAT")
-            node = Pow(base=node, exponent=int(tok[1]), span=(node.span[0], tok[2] + len(tok[1])))
+            node = Pow(base=node, exponent=_nat(tok), span=(node.span[0], tok[2] + len(tok[1])))
         return node
 
     def atom(self):
         tok = self.advance()
         kind, text, pos = tok
         if kind == "NAT":
-            return Nat(value=int(text), span=(pos, pos + len(text)))
+            return Nat(value=_nat(tok), span=(pos, pos + len(text)))
         if kind == "IDENT":
             if self.peek()[0] == "(":
                 return self.catalog_call(text, pos)
@@ -199,10 +208,10 @@ class _Parser:
         if name.lower() not in _REGISTRY or _REGISTRY[name.lower()].id != name:
             raise UnknownName(name, pos)
         self.expect("(")
-        params = [int(self.expect("NAT")[1])]
+        params = [_nat(self.expect("NAT"))]
         while self.peek()[0] == ",":
             self.advance()
-            params.append(int(self.expect("NAT")[1]))
+            params.append(_nat(self.expect("NAT")))
         close = self.expect(")")
         return CatalogCall(id=name, params=tuple(params), span=(pos, close[2] + 1))
 

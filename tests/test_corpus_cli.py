@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import morphcalc
 from morphcalc.cli import run
@@ -17,7 +19,8 @@ from morphcalc.corpus import (
     load_corpus,
     verify_corpus,
 )
-from morphcalc.quantity import MorphPoly
+from morphcalc.lang import ExprSyntaxError, eval_expr, parse
+from morphcalc.quantity import MorphError, MorphPoly
 
 R = MorphPoly.line()
 
@@ -62,6 +65,18 @@ def test_load_corpus_duplicate_name():
 def test_load_corpus_parse_error_becomes_format_error():
     with pytest.raises(FormatError) as err:
         load_corpus("first ; 1 ; == ; 1 ; t\nbad ; R^-1 ; == ; 1 ; t\n")
+    assert err.value.line_no == 2
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no int/str digit limit")
+def test_a_literal_over_the_digit_limit_is_a_syntax_error():
+    literal = "9" * 5000
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("R + " + literal)
+    assert err.value.position == 4
+    with pytest.raises(FormatError) as err:
+        load_corpus(f"first ; 1 ; == ; 1 ; t\nbig ; {literal} ; == ; 1 ; t\n")
     assert err.value.line_no == 2
 
 
@@ -510,3 +525,34 @@ def test_cli_repl_mixed_form(monkeypatch):
     code, text = _run(["repl"])
     assert code == 0
     assert "3*Rp^2*R^2 + 2*R^5" in text.splitlines()
+
+
+# -- fuzzing: every input ends in a value, a MorphError or an exit code 0-4 ----
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=12))
+@example("9" * 5000)
+@example("a ; 1 ; == ; " + "9" * 5000 + " ; over the digit limit")
+def test_any_text_evaluates_loads_or_raises_a_morph_error(source):
+    for attempt in (lambda: eval_expr(parse(source)), lambda: load_corpus(source)):
+        try:
+            attempt()
+        except MorphError:
+            pass
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["R", "Rp", "C", "H", "S", "SS", "CP", "G", "RPh", "O",
+                     "+", "-", "*", "/", "^", "(", ")", ","]),
+    st.integers(0, 40).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TOKENS, max_size=12).map(" ".join))  # spaces keep numbers <= 40
+def test_any_token_sequence_exits_0_to_4(source):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["eval", source], out=io.StringIO())
+    assert code in range(5), (source, err.getvalue())

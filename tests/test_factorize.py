@@ -15,14 +15,15 @@ from morphcalc.catalog import (
     schubert_cells,
     sphere,
 )
+from morphcalc.cli import run
 from morphcalc.factorize import (
     FIELD_STEPS,
     Factor,
     FactorizationResult,
     NotIntegerType,
+    _candidates,
     _cyclotomic,
     _cyclotomic_exponents,
-    _dictionary,
     factor_into_catalog,
     grassmann_divide,
     periodicity_scan,
@@ -287,14 +288,31 @@ def _reference_factor(q):
 
 
 def test_each_candidate_factors_to_itself():
-    for family, name, params, build, _ in _dictionary(30):
-        poly = build()
-        result = factor_into_catalog(poly)
-        assert result.residual == 1, (family, params)
-        [factor] = result.factors
-        assert factor.poly == poly and factor.multiplicity == 1
-        if (family, params[1:]) != ("hopf", (4,)):  # hopf(s, 4) is HP(s)
+    # every candidate of degree <= 30 tops at a cyclotomic index <= 90
+    for top in range(2, 91):
+        for _, family, name, params, build, _ in _candidates(top):
+            poly = build()
+            result = factor_into_catalog(poly)
+            assert result.residual == 1, (family, params)
+            [factor] = result.factors
+            assert factor.poly == poly and factor.multiplicity == 1
             assert (factor.family, factor.name, factor.params) == (family, name, params)
+
+
+@pytest.mark.parametrize("expr,factors,residual", [
+    ("O(8)", "RP(6) * CP(3) * RP(4) * RP(5) * SS(2) * RP(2) * RP(1)^3", "256"),
+    ("U(6)", "CP(5) * CP(4) * CP(3) * RP(5) * SS(2) * RP(1)^5", "64"),
+    ("Sp(4)", "CP(7) * CP(5) * RP(7) * SS(2) * RP(1)^3", "16"),
+    ("V(9,4)", "RP(8) * RP(6) * CP(3) * RP(5) * RP(1)", "16"),
+    ("NG(8,6,3)", "RP(6) * CP(3) * RP(4) * RP(5) * SS(3) * SS(2) * RP(1)", "8"),
+    ("CP(3)*CP(2)*(R+1)^2", "CP(3) * RP(5) * RP(1)", "1"),
+    ("CP(2)^3*(R+1)", "RP(5) * CP(2)^2", "1"),
+])
+def test_spare_circles_merge_into_the_smallest_cp_only(capsys, expr, factors, residual):
+    # each spare R + 1 turns one copy of the last (smallest) CP(m) found into RP(2m + 1)
+    # in its place; what is left over stays RP(1)
+    assert run(["factor", expr]) == 0
+    assert capsys.readouterr() == (f"factors: {factors}\nresidual: {residual}\n", "")
 
 
 PHI10 = R ** 4 - R ** 3 + R ** 2 - R + 1  # cyclotomic, but in no candidate alone
