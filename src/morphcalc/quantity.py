@@ -9,6 +9,9 @@ denominators are powers of two by construction.  Since R = 2*Rp + 1, the
 polynomials over Z[1/2] in R are exactly those in Rp, so the halfline basis is
 a view: one integer Taylor shift each way, both in this module.
 Multiplication is integer convolution and division is long division over Z.
+Text is formatted from the ints too, by `_render_terms`.  A `Fraction` appears
+only in the `r_coeffs`/`p_coeffs` views, `evaluate_at`, the remainder map of
+`NonZeroRemainder`, the hash of a constant, and where one is taken as input.
 """
 
 from __future__ import annotations
@@ -68,12 +71,6 @@ def _check_size(degree: int, bits: int) -> None:
         raise SizeLimitExceeded(
             f"the result would hold about {size} bits, over the size budget of {SIZE_BUDGET}"
         )
-
-
-def _fmt_frac(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _dyadic_ints(coeffs):
@@ -346,10 +343,10 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
             rem[k:] = map(sub, rem[k:], map(f.__mul__, low))
     if any(rem):
         rem, shift = _halfline_ints(rem, num._shift)
-        rem = {e: Fraction(c, mult << shift) for e, c in enumerate(rem) if c}
+        mult <<= shift  # the remainder is sum(rem[e] * Rp^e) / mult
         raise NonZeroRemainder(
-            f"non-zero remainder {_render_powers(rem, 'Rp')}",
-            remainder=rem,
+            f"non-zero remainder {_render_terms(_powers(rem, 'Rp'), mult)}",
+            remainder={e: Fraction(c, mult) for e, c in enumerate(rem) if c},
         )
     # the quotient is quo * 2^(den shift - num shift) / mult
     twos = (mult & -mult).bit_length() - 1
@@ -659,28 +656,37 @@ def semi_integral_minimal(q: MorphPoly) -> SemiIntegralForm:
 # -- rendering -----------------------------------------------------------
 
 
-def _render_terms(parts) -> str:
-    # parts: list of (coeff: Fraction, symbol_factors: [(name, exp), ...])
+def _power(var: str, e: int) -> str:
+    return f"{var}^{e}" if e > 1 else var if e else ""
+
+
+def _powers(ints, var):
+    """(c, monomial) pairs of sum(ints[e] * var^e), by descending e."""
+    return ((ints[e], _power(var, e)) for e in range(len(ints) - 1, -1, -1) if ints[e])
+
+
+def _render_terms(terms, den: int = 1) -> str:
+    """Text of sum(c * monomial) / den over (int c, monomial text) pairs in print order.
+
+    The one int -> text conversion: each c/den is reduced by one gcd.  A
+    coefficient over Python's int/str digit limit raises SizeLimitExceeded.
+    """
     out = []
-    for coeff, syms in parts:
-        mag = abs(coeff)
-        factors = []
-        syms = [(name, e) for name, e in syms if e != 0]
-        if mag != 1 or not syms:
-            factors.append(_fmt_frac(mag))
-        for name, e in syms:
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        if not out:
-            out.append(body if coeff > 0 else f"0 - {body}")
+    for c, mono in terms:
+        a = abs(c)
+        if a == den:
+            body = mono or "1"
         else:
-            out.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-    return "".join(out)
-
-
-def _render_powers(coeffs, var) -> str:
-    # coeffs: exponent -> coefficient, rendered by descending powers of var
-    return _render_terms([(coeffs[e], [(var, e)]) for e in sorted(coeffs, reverse=True)])
+            g = gcd(a, den)
+            try:
+                mag = f"{a // g}/{den // g}" if g < den else str(a // g)
+            except ValueError:
+                raise SizeLimitExceeded(
+                    "a coefficient exceeds Python's int/str digit limit") from None
+            body = f"{mag}*{mono}" if mono else mag
+        out.append(f" + {body}" if c > 0 else f" - {body}")
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else f"0{text}"
 
 
 def render(q: MorphPoly, basis: str = "r") -> str:
@@ -694,14 +700,15 @@ def render(q: MorphPoly, basis: str = "r") -> str:
         raise ValueError(f"unknown basis {basis!r}")
     if q.is_zero():
         return "0"
-    if basis == "p":
-        return _render_powers(q.p_coeffs(), "Rp")
     if basis == "r":
-        return _render_powers(q.r_coeffs(), "R")
+        return _render_terms(_powers(q._ints, "R"), 1 << q._shift)
+    if basis == "p":
+        ints, shift = _halfline_ints(q._ints, q._shift)
+        return _render_terms(_powers(ints, "Rp"), 1 << shift)
     try:
         form = semi_integral_minimal(q)
     except NotSemiIntegrable as exc:
         raise MixedFormUnavailable(str(exc)) from exc
     return _render_terms(
-        [(Fraction(c), [("Rp", p), ("R", r)]) for p, r, c in form.terms]
+        (c, "*".join(filter(None, (_power("Rp", p), _power("R", r))))) for p, r, c in form.terms
     )

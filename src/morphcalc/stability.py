@@ -48,9 +48,7 @@ class CellComplex:
                     "a cell complex needs non-negative integer R-coefficients "
                     "with positive leading coefficient"
                 )
-            rc = source.r_coeffs()
-            n = max(rc)
-            self._by_exp = tuple(int(rc.get(j, 0)) for j in range(n + 1))
+            self._by_exp = source._ints  # integrable: shift 0, ints >= 0
             return
         source = list(source)  # leading first
         try:

@@ -20,7 +20,7 @@ from morphcalc.corpus import (
     verify_corpus,
 )
 from morphcalc.lang import ExprSyntaxError, eval_expr, parse
-from morphcalc.quantity import MorphError, MorphPoly
+from morphcalc.quantity import MorphError, MorphPoly, SizeLimitExceeded, render
 
 R = MorphPoly.line()
 
@@ -68,8 +68,11 @@ def test_load_corpus_parse_error_becomes_format_error():
     assert err.value.line_no == 2
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                    reason="this Python has no int/str digit limit")
+_DIGIT_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                  reason="this Python has no int/str digit limit")
+
+
+@_DIGIT_LIMIT
 def test_a_literal_over_the_digit_limit_is_a_syntax_error():
     literal = "9" * 5000
     with pytest.raises(ExprSyntaxError) as err:
@@ -78,6 +81,14 @@ def test_a_literal_over_the_digit_limit_is_a_syntax_error():
     with pytest.raises(FormatError) as err:
         load_corpus(f"first ; 1 ; == ; 1 ; t\nbig ; {literal} ; == ; 1 ; t\n")
     assert err.value.line_no == 2
+
+
+@_DIGIT_LIMIT
+def test_a_result_over_the_digit_limit_raises_size_limit_exceeded():
+    with pytest.raises(SizeLimitExceeded, match="digit limit"):
+        render(MorphPoly.constant(7) ** 6000)
+    with pytest.raises(SizeLimitExceeded, match="digit limit"):
+        verify_corpus(load_corpus("a ; 7^6000 ; == ; 7^6000 + 1 ; t"))
 
 
 def test_load_corpus_accepts_bytes_and_streams(tmp_path):
@@ -549,10 +560,16 @@ _TOKENS = st.one_of(
 )
 
 
+_SOURCES = st.lists(_TOKENS, max_size=12).map(" ".join)  # spaces keep numbers <= 40
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_TOKENS, max_size=12).map(" ".join))  # spaces keep numbers <= 40
-def test_any_token_sequence_exits_0_to_4(source):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = run(["eval", source], out=io.StringIO())
-    assert code in range(5), (source, err.getvalue())
+@given(_SOURCES, _SOURCES)
+def test_any_token_sequence_exits_0_to_4(source, other):
+    # no "--form mixed": its search over halfline bounds may run for minutes
+    for argv in (["eval", source], ["eval", source, "--form", "p"], ["divide", source, other],
+                 ["classify", source], ["normal", source], ["factor", source]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv, out=io.StringIO())
+        assert code in range(5), (argv, err.getvalue())

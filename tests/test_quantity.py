@@ -41,6 +41,15 @@ small_poly = st.builds(
     st.dictionaries(st.integers(min_value=0, max_value=4), dyadic, max_size=4),
 )
 
+dyadic_r_poly = st.builds(
+    MorphPoly.from_r_coeffs,
+    st.dictionaries(
+        st.integers(min_value=0, max_value=8),
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 4, 8, 16])),
+        max_size=9,
+    ),
+)
+
 int_r_poly = st.builds(
     MorphPoly.from_r_coeffs,
     st.dictionaries(
@@ -409,6 +418,28 @@ def test_render_parse_round_trip(q):
         assert eval_expr(parse(render(q, basis))) == q
     if classify(q).semi_integrable:
         assert eval_expr(parse(render(q, "mixed"))) == q
+
+
+def _reference_text(coeffs, var):
+    """Powers of var by descending exponent, each coefficient printed from its Fraction."""
+    text = ""
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
+        factors = [] if abs(c) == 1 and e else [str(abs(c))]
+        factors += [var if e == 1 else f"{var}^{e}"] if e else []
+        body = "*".join(factors)
+        if text:
+            text += f" + {body}" if c > 0 else f" - {body}"
+        else:
+            text = body if c > 0 else f"0 - {body}"
+    return text or "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_poly, dyadic_r_poly))
+def test_render_matches_a_fraction_reference(q):
+    assert render(q, "r") == _reference_text(q.r_coeffs(), "R")
+    assert render(q, "p") == _reference_text(q.p_coeffs(), "Rp")
 
 
 def test_degree_and_zero():
