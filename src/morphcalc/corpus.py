@@ -155,7 +155,18 @@ def verify_record(record: IdentityRecord) -> RecordOutcome:
     try:
         lhs = eval_expr(record.lhs)
         rhs = eval_expr(record.rhs)
-    except MorphError as exc:
+        equal = lhs == rhs
+        ok = equal if record.expect == "equal" else not equal
+        diff = render(lhs - rhs, "r") if not ok and record.expect == "equal" else None
+        return RecordOutcome(
+            name=record.name,
+            expect=record.expect,
+            outcome="pass" if ok else "fail",
+            lhs=render(lhs, "r"),
+            rhs=render(rhs, "r"),
+            difference=diff,
+        )
+    except MorphError as exc:  # evaluating or rendering, e.g. over the digit limit
         return RecordOutcome(
             name=record.name,
             expect=record.expect,
@@ -164,19 +175,6 @@ def verify_record(record: IdentityRecord) -> RecordOutcome:
             rhs=record.rhs_source,
             error=str(exc),
         )
-    equal = lhs == rhs
-    ok = equal if record.expect == "equal" else not equal
-    diff = None
-    if not ok and record.expect == "equal":
-        diff = render(lhs - rhs, "r")
-    return RecordOutcome(
-        name=record.name,
-        expect=record.expect,
-        outcome="pass" if ok else "fail",
-        lhs=render(lhs, "r"),
-        rhs=render(rhs, "r"),
-        difference=diff,
-    )
 
 
 def verify_corpus(records) -> VerifyReport:

@@ -5,12 +5,14 @@ positive leading coefficient.  Both rewrite directions preserve the dimension
 and the Euler characteristic, and every complex reduces to exactly one of
 a * R^n (a >= 1) or R^n + b * R^(n-1) (b >= 1).  The closed form here reads
 that final shape off the preserved pair; `rewrite_reachable` is the search
-oracle that certifies it by an explicit rewrite path.
+oracle that certifies it by an explicit rewrite path.  The oracle is a
+bidirectional breadth-first search: every rewrite can be undone by the other
+direction, so the rewrite graph is undirected and a path between two
+complexes may be searched for from both ends at once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .quantity import (  # noqa: F401  (dimension is re-exported)
@@ -145,11 +147,16 @@ def default_step_bound(c: CellComplex) -> int:
 
 
 def rewrite_reachable(q1, q2, step_bound=None) -> bool:
-    """Breadth-first search: can q2 be rewritten from q1 within step_bound steps?
+    """Bidirectional breadth-first search: can q2 be rewritten from q1 within step_bound steps?
 
-    Returns False definitively when an invariant rules reachability out or the
-    component is exhausted; raises BoundExceeded when the bound cuts the search
-    off with the frontier still open.
+    Every rewrite is reversible, so a path from q1 to q2 read backwards is one
+    from q2 to q1.  The search keeps a seen set and a frontier for each end,
+    grows the smaller frontier by one layer at a time, and stops when a new
+    state is one the other end has seen.
+
+    Returns False definitively when an invariant rules reachability out or a
+    component is exhausted; raises BoundExceeded when step_bound layers have
+    been grown with both frontiers still open.
     """
     c1 = q1 if isinstance(q1, CellComplex) else CellComplex(q1)
     c2 = q2 if isinstance(q2, CellComplex) else CellComplex(q2)
@@ -162,23 +169,22 @@ def rewrite_reachable(q1, q2, step_bound=None) -> bool:
     if c1.dimension() != c2.dimension() or c1.euler() != c2.euler():
         return False
 
-    start, goal = c1._by_exp, c2._by_exp
-    seen = {start}
-    frontier = deque([start])
+    # one seen set and one frontier per end; the two depths add up to the
+    # layers grown, so growing step_bound layers covers every path that long
+    seen = [{c1._by_exp}, {c2._by_exp}]
+    frontier = [[c1._by_exp], [c2._by_exp]]
     for _ in range(step_bound):
-        if not frontier:
-            return False
-        next_frontier = deque()
-        while frontier:
-            state = frontier.popleft()
+        side = len(frontier[1]) < len(frontier[0])
+        mine, other = seen[side], seen[not side]
+        layer = []
+        for state in frontier[side]:
             for nxt in rewrite_neighbors(state):
-                if nxt in seen:
-                    continue
-                if nxt == goal:
+                if nxt in other:
                     return True
-                seen.add(nxt)
-                next_frontier.append(nxt)
-        frontier = next_frontier
-    if not frontier:
-        return False
+                if nxt not in mine:
+                    mine.add(nxt)
+                    layer.append(nxt)
+        if not layer:
+            return False
+        frontier[side] = layer
     raise BoundExceeded(f"no rewrite path of length <= {step_bound} found")

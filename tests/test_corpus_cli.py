@@ -87,8 +87,17 @@ def test_a_literal_over_the_digit_limit_is_a_syntax_error():
 def test_a_result_over_the_digit_limit_raises_size_limit_exceeded():
     with pytest.raises(SizeLimitExceeded, match="digit limit"):
         render(MorphPoly.constant(7) ** 6000)
-    with pytest.raises(SizeLimitExceeded, match="digit limit"):
-        verify_corpus(load_corpus("a ; 7^6000 ; == ; 7^6000 + 1 ; t"))
+
+
+@_DIGIT_LIMIT
+def test_a_record_over_the_digit_limit_fails_on_its_own():
+    # rendering fails like evaluating: the record fails, the report survives
+    report = verify_corpus(load_corpus("a ; 7^6000 ; == ; 7^6000 + 1 ; t\nb ; 1 ; == ; 1 ; t"))
+    big, small = report.outcomes
+    assert big.outcome == "fail" and "digit limit" in big.error
+    assert (big.lhs, big.rhs, big.difference) == ("7^6000", "7^6000 + 1", None)
+    assert small.outcome == "pass"
+    assert report.exit_status == 1
 
 
 def test_load_corpus_accepts_bytes_and_streams(tmp_path):
@@ -565,6 +574,7 @@ _SOURCES = st.lists(_TOKENS, max_size=12).map(" ".join)  # spaces keep numbers <
 
 @settings(max_examples=300, deadline=None)
 @given(_SOURCES, _SOURCES)
+@example("7 ^ 6000", "7 ^ 6000 + 1")
 def test_any_token_sequence_exits_0_to_4(source, other):
     # no "--form mixed": its search over halfline bounds may run for minutes
     for argv in (["eval", source], ["eval", source, "--form", "p"], ["divide", source, other],
@@ -573,3 +583,10 @@ def test_any_token_sequence_exits_0_to_4(source, other):
         with contextlib.redirect_stderr(err):
             code = run(argv, out=io.StringIO())
         assert code in range(5), (argv, err.getvalue())
+    # the library verifier: only a MorphError leaves load_corpus, and
+    # verify_corpus gives the record an outcome instead of raising
+    try:
+        records = load_corpus(f"fz ; {source} ; == ; {other} ; fuzz")
+    except MorphError:
+        return
+    assert len(verify_corpus(records).outcomes) == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from morphcalc.quantity import MorphPoly, evaluate_at
@@ -147,3 +149,77 @@ def test_mutual_reachability_iff_same_invariants():
     keys = list(groups)
     for k1, k2 in itertools.combinations(keys, 2):
         assert rewrite_reachable(groups[k1][0], groups[k2][0], 10) is False
+
+
+# -- parity with the one-sided search ------------------------------------------
+
+
+def _one_sided(c1, c2, bound):
+    """The layered one-sided breadth-first search: True, False or BoundExceeded."""
+    if c1 == c2:
+        return True
+    if c1.dimension() != c2.dimension() or c1.euler() != c2.euler():
+        return False
+    goal = tuple(reversed(c2.coefficients))
+    seen = {tuple(reversed(c1.coefficients))}
+    frontier = list(seen)
+    for _ in range(bound):
+        layer = []
+        for state in frontier:
+            for nxt in rewrite_neighbors(state):
+                if nxt == goal:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    layer.append(nxt)
+        if not layer:
+            return False
+        frontier = layer
+    return BoundExceeded
+
+
+def _outcome(c1, c2, bound):
+    try:
+        return rewrite_reachable(c1, c2, bound)
+    except BoundExceeded:
+        return BoundExceeded
+
+
+def _complexes(n, top=2):
+    return [CellComplex(c) for c in itertools.product(range(1, top + 1), *[range(top + 1)] * n)]
+
+
+def test_bidirectional_search_matches_one_sided_search():
+    # every ordered pair of equal length, degree <= 3, coefficients <= 2
+    tally = {True: 0, False: 0, BoundExceeded: 0}
+    for n in range(4):
+        cases = _complexes(n)
+        for c1 in cases:
+            for c2 in cases:
+                for bound in (1, 2, 3, 5, 8):
+                    expected = _one_sided(c1, c2, bound)
+                    assert _outcome(c1, c2, bound) is expected, (c1, c2, bound)
+                    tally[expected] += 1
+    assert tally == {True: 2000, False: 13320, BoundExceeded: 1080}
+
+
+def test_bidirectional_search_is_exact_at_the_shortest_path_length():
+    pairs = [(CellComplex(3 * R + 4), CellComplex(R + 2))]  # shortest path 2
+    assert _one_sided(*pairs[0], 1) is BoundExceeded and _one_sided(*pairs[0], 2) is True
+    for n in range(3):
+        cases = _complexes(n)
+        pairs += [(c1, c2) for c1 in cases for c2 in cases
+                  if c1 != c2 and (c1.dimension(), c1.euler()) == (c2.dimension(), c2.euler())]
+    for c1, c2 in pairs:
+        d = next(b for b in range(1, 40) if _one_sided(c1, c2, b) is True)
+        assert rewrite_reachable(c1, c2, d) is True, (c1, c2, d)
+        if d > 1:
+            with pytest.raises(BoundExceeded):
+                rewrite_reachable(c1, c2, d - 1)
+
+
+def test_normal_form_certified_at_degree_4():
+    cases = _complexes(4)
+    assert len(cases) == 162
+    for c in cases:
+        assert rewrite_reachable(c, stable_normal_form(c).quantity(), 2 * c.total() + 8) is True, c
