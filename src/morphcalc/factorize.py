@@ -44,7 +44,6 @@ from .quantity import (
     MorphPoly,
     R,
     _normalised,
-    classify,
     render,
 )
 from .catalog import (
@@ -195,7 +194,7 @@ def _candidates(top: int):
 
 def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
     """Greedy extraction of the candidates; leftover is the residual."""
-    if not classify(q).integer_type:
+    if not q._ints or q._shift or q._ints[-1] < 1:  # not of integer type, see `classify`
         raise NotIntegerType(f"{render(q, 'r')} is not of integer type")
 
     # powers of R first: shift away the lowest R-exponent

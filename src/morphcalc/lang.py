@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import prod
+from functools import reduce
+from operator import add, mul
 
 from .catalog import _REGISTRY, catalog_quantity
 from .quantity import MorphError, MorphPoly, P, R, div_exact
@@ -88,29 +89,20 @@ class Bracket(Expr):
     child: Expr
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<nat>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
+_TOKEN_RE = re.compile(
+    r"(?P<NAT>[0-9]+)|(?P<IDENT>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
 _SYMBOLS = {"R": R, "Rp": P, "C": R ** 2, "H": R ** 4}
 
 
 def _tokenize(source: str):
+    """(kind, text, position) triples ending with EOF; whitespace matches no group."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(source) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {source[at]!r}", at)
-        if m.lastgroup == "nat":
-            tokens.append(("NAT", m.group("nat"), m.start("nat")))
-        elif m.lastgroup == "ident":
-            tokens.append(("IDENT", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append((m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}", pos)
+        tokens.append((text if kind == "op" else kind, text, pos))
     tokens.append(("EOF", "", len(source)))
     return tokens
 
@@ -153,31 +145,29 @@ class _Parser:
 
     def expr(self):
         start = self.peek()[2]
-        node = self.term()
+        items = [self.term()]
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()
+            op = self.advance()[0]
             right = self.term()
-            end = right.span[1]
-            if op[0] == "+":
-                items = node.items if isinstance(node, Add) else (node,)
-                node = Add(items=items + (right,), span=(start, end))
+            if op == "+":
+                items.append(right)
             else:
-                node = Sub(left=node, right=right, span=(start, end))
-        return node
+                left = _flat(Add, items, start)
+                items = [Sub(left=left, right=right, span=(start, right.span[1]))]
+        return _flat(Add, items, start)
 
     def term(self):
         start = self.peek()[2]
-        node = self.factor()
+        items = [self.factor()]
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()
+            op = self.advance()[0]
             right = self.factor()
-            end = right.span[1]
-            if op[0] == "*":
-                items = node.items if isinstance(node, Mul) else (node,)
-                node = Mul(items=items + (right,), span=(start, end))
+            if op == "*":
+                items.append(right)
             else:
-                node = Div(num=node, den=right, span=(start, end))
-        return node
+                num = _flat(Mul, items, start)
+                items = [Div(num=num, den=right, span=(start, right.span[1]))]
+        return _flat(Mul, items, start)
 
     def factor(self):
         node = self.atom()
@@ -214,6 +204,13 @@ class _Parser:
             params.append(_nat(self.expect("NAT")))
         close = self.expect(")")
         return CatalogCall(id=name, params=tuple(params), span=(pos, close[2] + 1))
+
+
+def _flat(cls, items, start):
+    """The one node for a run of operands joined by + (cls Add) or * (cls Mul)."""
+    if len(items) == 1:
+        return items[0]
+    return cls(items=tuple(items), span=(start, items[-1].span[1]))
 
 
 def parse(source: str) -> Expr:
@@ -275,11 +272,11 @@ def _eval(e: Expr) -> MorphPoly:
         if isinstance(e, CatalogCall):
             return catalog_quantity(e.id, e.params)
         if isinstance(e, Add):
-            return sum(map(_eval, e.items), MorphPoly.zero())
+            return reduce(add, map(_eval, e.items))
         if isinstance(e, Sub):
             return _eval(e.left) - _eval(e.right)
         if isinstance(e, Mul):
-            return prod(map(_eval, e.items), start=MorphPoly.constant(1))
+            return reduce(mul, map(_eval, e.items))
         if isinstance(e, Div):
             return div_exact(_eval(e.num), _eval(e.den))
         if isinstance(e, Pow):

@@ -243,7 +243,7 @@ class MorphPoly:
             return NotImplemented
         a, b = self._ints, other._ints
         if not a or not b:
-            return MorphPoly()
+            return MorphPoly.zero()
         if len(a) < len(b):
             a, b = b, a
         n = len(a)
@@ -260,13 +260,13 @@ class MorphPoly:
             raise ValueError("exponent must be a non-negative integer")
         if self._ints:  # the coefficients of q^n are at most sum(|c[i]|)^n
             _check_size(n * self.degree(), n * (sum(map(abs, self._ints)) - 1).bit_length())
-        result = MorphPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return MorphPoly.constant(1)
+        result = self  # left to right over the bits of n after the leading one
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __truediv__(self, other):

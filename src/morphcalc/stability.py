@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .quantity import (  # noqa: F401  (dimension is re-exported)
     MorphError,
     MorphPoly,
-    classify,
     dimension,
     euler,
     render,
@@ -45,7 +44,7 @@ class CellComplex:
         if isinstance(source, MorphPoly):
             if source.is_zero():
                 raise InvalidComplex("the zero quantity is not a cell complex")
-            if not classify(source).integrable:
+            if source._shift or min(source._ints) < 0:  # not integrable, see `classify`
                 raise InvalidComplex(
                     "a cell complex needs non-negative integer R-coefficients "
                     "with positive leading coefficient"

@@ -127,6 +127,27 @@ def test_factor_rejects_non_integer_type():
         factor_into_catalog(MorphPoly.halfline())
     with pytest.raises(NotIntegerType):
         factor_into_catalog(1 - R)
+    with pytest.raises(NotIntegerType, match="^0 is not of integer type$"):
+        factor_into_catalog(MorphPoly.zero())
+
+
+def test_factor_and_cell_complexes_read_their_flag_without_a_halfline_shift(monkeypatch):
+    from morphcalc import quantity
+    from morphcalc.stability import CellComplex, InvalidComplex
+
+    calls = []
+    halfline_ints = quantity._halfline_ints
+
+    def counting(ints, shift):
+        calls.append(len(ints))
+        return halfline_ints(ints, shift)
+
+    monkeypatch.setattr(quantity, "_halfline_ints", counting)
+    q = R ** 30 - 1  # integer type, not integrable
+    assert factor_into_catalog(q).product() == q
+    with pytest.raises(InvalidComplex):
+        CellComplex(q)
+    assert calls == []
 
 
 def test_named_factors_match_catalog():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,3 +174,51 @@ def test_print_expr_deep_nesting_is_a_syntax_error():
     e = parse("R" + "-0" * 3000)
     with pytest.raises(ExprSyntaxError, match="expression nested too deeply"):
         print_expr(e)
+
+
+@pytest.mark.parametrize("src, message, position", [
+    ("٣", "unexpected character '٣'", 0),  # a Unicode digit is no NAT
+    ("R + é", "unexpected character 'é'", 4),
+    ("R\x1c+ $", "unexpected character '$'", 4),
+])
+def test_tokenizer_errors_name_the_character_and_its_position(src, message, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(src)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_unicode_whitespace_separates_tokens():
+    e = parse("R\x1c+ R")  # U+001C is whitespace to str.isspace and to \s
+    assert isinstance(e, Add) and e.span == (0, 5)
+    assert [x.span for x in e.items] == [(0, 1), (4, 5)]
+    e = parse("2*R　")  # trailing ideographic space
+    assert isinstance(e, Mul) and e.span == (0, 3)
+    assert print_expr(e) == "2*R"
+
+
+def test_runs_and_chains_keep_their_spans():
+    src = "1 + R - Rp + C*2/H*3"
+    e = parse(src)
+    assert isinstance(e, Add) and isinstance(e.items[0], Sub)
+    assert src[slice(*e.items[0].span)] == "1 + R - Rp"
+    assert src[slice(*e.items[0].left.span)] == "1 + R"
+    mul = e.items[1]
+    assert isinstance(mul, Mul) and isinstance(mul.items[0], Div)
+    assert src[slice(*mul.span)] == "C*2/H*3"
+    assert src[slice(*mul.items[0].num.span)] == "C*2"
+
+
+def test_a_200_deep_bracket_evaluates():
+    src = "(" * 200 + "R + 1" + ")" * 200
+    assert eval_expr(parse(src)) == R + 1
+
+
+def test_long_sums_and_products_parse_in_linear_time():
+    n = 40_000
+    for src, value in [("R" + " + R" * n, (n + 1) * R), ("1" + "*1" * n, 1)]:
+        t0 = time.monotonic()
+        e = parse(src)
+        assert time.monotonic() - t0 < 2
+        assert len(e.items) == n + 1
+        assert eval_expr(e) == value

@@ -107,6 +107,36 @@ def test_pow_checks_the_size_budget_before_multiplying():
         (R + 1) ** 2100  # 2101 coefficients of up to 2100 bits
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_poly, dyadic.map(MorphPoly.constant), st.just(MorphPoly.zero())),
+       st.integers(min_value=0, max_value=9))
+def test_pow_is_repeated_multiplication(q, n):
+    expected = MorphPoly.constant(1)
+    for _ in range(n):
+        expected = expected * q
+    assert q ** n == expected
+
+
+def test_pow_multiplies_only_towards_the_result(monkeypatch):
+    products = []
+    mul = MorphPoly.__mul__
+
+    def recording(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    bases = [3 * P + 2, R ** 3 - R, P, MorphPoly.constant(5)]
+    monkeypatch.setattr(MorphPoly, "__mul__", recording)
+    for q in bases:
+        for n in range(1, 40):
+            products.clear()
+            result = q ** n
+            assert len(products) <= 2 * (n.bit_length() - 1)
+            for a, b in products:
+                assert a != 1 and b != 1
+                assert a.degree() + b.degree() <= result.degree()
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_poly, small_poly, small_poly)
 def test_ring_laws(a, b, c):
