@@ -26,25 +26,26 @@ from math import comb, gcd
 
 from .quantity import (
     SIZE_BUDGET,
-    MorphError,
+    InexactDivision,
     MorphPoly,
     NonZeroRemainder,
     P,
     R,
+    UsageError,
     _check_size,
     _normalised,
 )
 
 
-class UnknownEntry(MorphError):
+class UnknownEntry(UsageError):
     pass
 
 
-class BadParams(MorphError):
+class BadParams(UsageError):
     pass
 
 
-class InternalDivisionFailed(MorphError):
+class InternalDivisionFailed(InexactDivision):
     pass
 
 

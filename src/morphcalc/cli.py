@@ -3,7 +3,10 @@
 Exit codes: 0 success (or all records pass), 1 verification failures,
 2 parse or usage errors, 3 inexact division, 4 violated preconditions
 (not a cell complex, not integer type, zero quantity, no mixed form, a result
-over the size budget).
+over the size budget).  Each error class states its own code and the prefix
+of its message (`MorphError.exit_status` and `.kind`), so `run` handles every
+`MorphError` in one place.  Each command is one row of `_COMMANDS`: its name,
+help text, arguments and handler.
 """
 
 from __future__ import annotations
@@ -16,136 +19,48 @@ from functools import cache
 from . import corpus as corpus_mod
 from . import factorize
 from . import stability
-from .catalog import (
-    BadParams,
-    InternalDivisionFailed,
-    UnknownEntry,
-    lookup,
-    registry_table,
-)
-from .lang import ExprSyntaxError, UnknownName, eval_expr, parse
-from .quantity import (
-    DivisionByZero,
-    MixedFormUnavailable,
-    MorphPoly,
-    NonZeroRemainder,
-    NotSemiIntegrable,
-    SizeLimitExceeded,
-    ZeroQuantity,
-    classify,
-    dimension,
-    div_exact,
-    euler,
-    render,
-)
+from .catalog import lookup, registry_table
+from .lang import eval_expr, parse
+from .quantity import MorphError, MorphPoly, classify, dimension, div_exact, euler, render
 
-_USAGE_ERRORS = (ExprSyntaxError, UnknownName, UnknownEntry, BadParams,
-                 corpus_mod.FormatError, corpus_mod.DuplicateName)
-_DIVISION_ERRORS = (NonZeroRemainder, DivisionByZero, InternalDivisionFailed)
-_PRECONDITION_ERRORS = (stability.InvalidComplex, factorize.NotIntegerType,
-                        ZeroQuantity, MixedFormUnavailable, NotSemiIntegrable,
-                        stability.BoundExceeded, SizeLimitExceeded)
 # Python's int/str digit limit, absent before Python 3.10.7
 _get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+_FORMS = ["r", "p", "mixed"]
 
 
 def _eval_source(source: str) -> MorphPoly:
     return eval_expr(parse(source))
 
 
-def _print_classification(q: MorphPoly, out):
-    c = classify(q)
-    print(f"label: {c.label}", file=out)
+def _printing(value_of):
+    """The handler that prints value_of(args) and exits 0."""
+
+    def handler(args, out):
+        print(value_of(args), file=out)
+        return 0
+
+    return handler
+
+
+def _classification(args):
+    c = classify(_eval_source(args.expr))
     flags = [f.name for f in fields(c) if f.name != "label"]
-    print(" ".join(f"{name}={'yes' if getattr(c, name) else 'no'}" for name in flags), file=out)
+    return f"label: {c.label}\n" + " ".join(
+        f"{name}={'yes' if getattr(c, name) else 'no'}" for name in flags)
 
 
-@cache  # parse_args returns a fresh namespace, so one parser serves every call
-def _build_parser():
-    ap = argparse.ArgumentParser(
-        prog="morphcalc",
-        description="exact calculator for quantity polynomials in R and Rp",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an expression")
-    p.add_argument("expr")
-    p.add_argument("--form", choices=["r", "p", "mixed"], default="r")
-
-    p = sub.add_parser("classify", help="object-hood and hierarchy flags")
-    p.add_argument("expr")
-
-    p = sub.add_parser("euler", help="Euler characteristic (value at R = -1)")
-    p.add_argument("expr")
-
-    p = sub.add_parser("dim", help="dimension (degree in R)")
-    p.add_argument("expr")
-
-    p = sub.add_parser("normal", help="stability normal form of a cell complex")
-    p.add_argument("expr")
-
-    p = sub.add_parser("divide", help="exact division of two expressions")
-    p.add_argument("numerator")
-    p.add_argument("denominator")
-
-    p = sub.add_parser("factor", help="factor into catalog irreducibles")
-    p.add_argument("expr")
-
-    p = sub.add_parser("verify", help="verify an identity corpus file")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("catalog", help="list or show catalog entries")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("id", nargs="?")
-
-    p = sub.add_parser("audit", help="bivector partition audit")
-    p.add_argument("n", type=int, choices=[3, 4, 5])
-
-    sub.add_parser("repl", help="interactive line-at-a-time calculator")
-    return ap
-
-
-def _cmd_eval(args, out):
-    q = _eval_source(args.expr)
-    print(render(q, args.form), file=out)
-    return 0
-
-
-def _cmd_classify(args, out):
-    _print_classification(_eval_source(args.expr), out)
-    return 0
-
-
-def _cmd_euler(args, out):
-    print(euler(_eval_source(args.expr)), file=out)
-    return 0
-
-
-def _cmd_dim(args, out):
-    print(dimension(_eval_source(args.expr)), file=out)
-    return 0
-
-
-def _cmd_normal(args, out):
-    c = stability.CellComplex(_eval_source(args.expr))
-    nf = stability.stable_normal_form(c)
-    print(nf.describe(), file=out)
-    return 0
-
-
-def _cmd_divide(args, out):
-    q = div_exact(_eval_source(args.numerator), _eval_source(args.denominator))
-    print(render(q, "r"), file=out)
-    return 0
-
-
-def _cmd_factor(args, out):
+def _factors(args):
     result = factorize.factor_into_catalog(_eval_source(args.expr))
-    print(f"factors: {' * '.join(f.display() for f in result.factors) or '1'}", file=out)
-    print(f"residual: {render(result.residual, 'r')}", file=out)
-    return 0
+    return (f"factors: {' * '.join(f.display() for f in result.factors) or '1'}\n"
+            f"residual: {render(result.residual, 'r')}")
+
+
+def _audit(args):
+    partition_sum, whole, gap = corpus_mod.bivector_audit(args.n)
+    return (f"partition: {render(partition_sum, 'r')}\n"
+            f"whole:     {render(whole, 'r')}\n"
+            f"gap:       {render(gap, 'r')}")
 
 
 def _cmd_verify(args, out):
@@ -180,14 +95,6 @@ def _cmd_catalog(args, out):
     return 0
 
 
-def _cmd_audit(args, out):
-    partition_sum, whole, gap = corpus_mod.bivector_audit(args.n)
-    print(f"partition: {render(partition_sum, 'r')}", file=out)
-    print(f"whole:     {render(whole, 'r')}", file=out)
-    print(f"gap:       {render(gap, 'r')}", file=out)
-    return 0
-
-
 def _cmd_repl(args, out):
     form = "r"
     print("morphcalc repl; :help for commands", file=out)
@@ -202,7 +109,7 @@ def _cmd_repl(args, out):
             continue
         if line.startswith(":form"):
             parts = line.split()
-            if len(parts) == 2 and parts[1] in ("r", "p", "mixed"):
+            if len(parts) == 2 and parts[1] in _FORMS:
                 form = parts[1]
                 print(f"form set to {form}", file=out)
             else:
@@ -210,46 +117,66 @@ def _cmd_repl(args, out):
             continue
         try:
             print(render(_eval_source(line), form), file=out)
-        except (*_USAGE_ERRORS, *_DIVISION_ERRORS, *_PRECONDITION_ERRORS) as exc:
+        except MorphError as exc:
             print(f"error: {exc}", file=sys.stderr)
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "euler": _cmd_euler,
-    "dim": _cmd_dim,
-    "normal": _cmd_normal,
-    "divide": _cmd_divide,
-    "factor": _cmd_factor,
-    "verify": _cmd_verify,
-    "catalog": _cmd_catalog,
-    "audit": _cmd_audit,
-    "repl": _cmd_repl,
-}
+_EXPR = {"expr": {}}
+# name, help text, add_argument options by argument name, handler(args, out) -> exit status
+_COMMANDS = (
+    ("eval", "evaluate an expression", {**_EXPR, "--form": {"choices": _FORMS, "default": "r"}},
+     _printing(lambda args: render(_eval_source(args.expr), args.form))),
+    ("classify", "object-hood and hierarchy flags", _EXPR, _printing(_classification)),
+    ("euler", "Euler characteristic (value at R = -1)", _EXPR,
+     _printing(lambda args: euler(_eval_source(args.expr)))),
+    ("dim", "dimension (degree in R)", _EXPR,
+     _printing(lambda args: dimension(_eval_source(args.expr)))),
+    ("normal", "stability normal form of a cell complex", _EXPR,
+     _printing(lambda args: stability.stable_normal_form(
+         stability.CellComplex(_eval_source(args.expr))).describe())),
+    ("divide", "exact division of two expressions", {"numerator": {}, "denominator": {}},
+     _printing(lambda args: render(
+         div_exact(_eval_source(args.numerator), _eval_source(args.denominator)), "r"))),
+    ("factor", "factor into catalog irreducibles", _EXPR, _printing(_factors)),
+    ("verify", "verify an identity corpus file",
+     {"file": {}, "--json": {"action": "store_true"}}, _cmd_verify),
+    ("catalog", "list or show catalog entries",
+     {"action": {"choices": ["list", "show"]}, "id": {"nargs": "?"}}, _cmd_catalog),
+    ("audit", "bivector partition audit", {"n": {"type": int, "choices": [3, 4, 5]}},
+     _printing(_audit)),
+    ("repl", "interactive line-at-a-time calculator", {}, _cmd_repl),
+)
+
+
+@cache  # parse_args returns a fresh namespace, so one parser serves every call
+def _build_parser():
+    ap = argparse.ArgumentParser(
+        prog="morphcalc",
+        description="exact calculator for quantity polynomials in R and Rp",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for argument, options in arguments.items():
+            p.add_argument(argument, **options)
+        p.set_defaults(handler=handler)
+    return ap
 
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     limit = _get_digit_limit()
     _set_digit_limit(0)  # an exact result prints every digit; the caller's limit comes back
     try:
-        return _COMMANDS[args.command](args, out)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DIVISION_ERRORS as exc:
-        print(f"inexact division: {exc}", file=sys.stderr)
-        return 3
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 4
+        return args.handler(args, out)
+    except MorphError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_status
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
-from .quantity import MorphError, MorphPoly, P, R, render
+from .quantity import MorphError, MorphPoly, P, R, UsageError, render
 from .lang import Expr, eval_expr, parse
 from .catalog import BadParams, poincare_sphere, projective, sphere
 
 
-class FormatError(MorphError):
+class FormatError(UsageError):
     def __init__(self, message, line_no):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class DuplicateName(MorphError):
+class DuplicateName(UsageError):
     pass
 
 
@@ -191,29 +192,21 @@ def _identity(name: str, lhs: str, rhs: str, citation: str):
 
 
 def sphere_addition(p: int, q: int, r: int = None):
-    """The sphere addition identity for a (p, q[, r]) block split, as a corpus record."""
-    if p < 1 or q < 1 or (r is not None and r < 1):
+    """The sphere addition identity for a (p, q[, r]) block split, as a corpus record.
+
+    S(p + q + .. - 1) is the sum over the non-empty subsets of the blocks, each
+    a product of S(b - 1) over its blocks b times Rp^(size - 1).
+    """
+    blocks = (p, q) if r is None else (p, q, r)
+    if min(blocks) < 1:
         raise BadParams("sphere_addition needs positive block sizes")
-    if r is None:
-        lhs = f"S({p + q - 1})"
-        rhs = (
-            f"S({p - 1})*S({q - 1})*Rp + S({p - 1}) + S({q - 1})"
-        )
-        name = f"sphere-addition-{p}-{q}"
-    else:
-        lhs = f"S({p + q + r - 1})"
-        pairs = [
-            f"S({p - 1})*S({q - 1})*Rp",
-            f"S({p - 1})*S({r - 1})*Rp",
-            f"S({q - 1})*S({r - 1})*Rp",
-        ]
-        rhs = (
-            f"S({p - 1})*S({q - 1})*S({r - 1})*Rp^2 + "
-            + " + ".join(pairs)
-            + f" + S({p - 1}) + S({q - 1}) + S({r - 1})"
-        )
-        name = f"sphere-addition-{p}-{q}-{r}"
-    return _identity(name, lhs, rhs, "sphere addition")
+    terms = []
+    for k in range(len(blocks), 0, -1):
+        rp = "" if k == 1 else "*Rp" if k == 2 else f"*Rp^{k - 1}"
+        terms += ["*".join(f"S({b - 1})" for b in subset) + rp
+                  for subset in combinations(blocks, k)]
+    name = "sphere-addition-" + "-".join(map(str, blocks))
+    return _identity(name, f"S({sum(blocks) - 1})", " + ".join(terms), "sphere addition")
 
 
 def hopf_family(s: int, k: int):

@@ -19,16 +19,16 @@ from functools import reduce
 from operator import add, mul
 
 from .catalog import _REGISTRY, catalog_quantity
-from .quantity import MorphError, MorphPoly, P, R, div_exact
+from .quantity import MorphError, MorphPoly, P, R, UsageError, div_exact
 
 
-class ExprSyntaxError(MorphError):
+class ExprSyntaxError(UsageError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class UnknownName(MorphError):
+class UnknownName(UsageError):
     def __init__(self, name, position):
         super().__init__(f"unknown name {name!r} (at position {position})")
         self.name = name

@@ -24,14 +24,36 @@ from operator import add, or_, sub
 
 
 class MorphError(Exception):
-    """Base class for quantity-domain errors."""
+    """Base class for quantity-domain errors.
+
+    Each class states how the command line reports it: `kind` prefixes the
+    message on stderr and `exit_status` is the exit code.  A class outside the
+    two bases below is a violated precondition (exit 4).
+    """
+
+    exit_status = 4
+    kind = "precondition violated"
 
 
-class DivisionByZero(MorphError):
+class UsageError(MorphError):
+    """Unreadable input: bad syntax, an unknown name or entry, bad parameters, a bad corpus."""
+
+    exit_status = 2
+    kind = "error"
+
+
+class InexactDivision(MorphError):
+    """A division has no exact quantity quotient."""
+
+    exit_status = 3
+    kind = "inexact division"
+
+
+class DivisionByZero(InexactDivision):
     pass
 
 
-class NonZeroRemainder(MorphError):
+class NonZeroRemainder(InexactDivision):
     """Division has no exact quantity solution."""
 
     def __init__(self, message, remainder=None):
