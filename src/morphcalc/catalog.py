@@ -10,7 +10,10 @@ a quotient row names the factors it divides by.  The pairs are merged and the
 size is read from them before any arithmetic; the product is then built on
 plain R-coefficients, each division by R^m - 1 one top-down pass that raises
 on a remainder, so a transcription slip surfaces as InternalDivisionFailed
-instead of a silently wrong polynomial.  Independent combinatorial oracles
+instead of a silently wrong polynomial.  Parameters are checked in one place,
+against the registry's validity text, before an entry is built; a builder
+called directly outside it is refused by `_quotient`, either for a factor
+R^m - 1 with m < 1 or for a remainder.  Independent combinatorial oracles
 (Schubert cell enumeration and the Gaussian binomial recurrence) live here as
 well.
 """
@@ -217,29 +220,21 @@ def _conic(m: int):
 
 @lru_cache(maxsize=None)
 def sphere(n: int) -> MorphPoly:
-    if n < 0:
-        raise BadParams("sphere dimension must be >= 0")
     return _quotient([_sphere(n)])
 
 
 def poincare_sphere(n: int) -> MorphPoly:
     """The stereographic sphere R^n + 1."""
-    if n < 0:
-        raise BadParams("sphere dimension must be >= 0")
     return _quotient([_stereographic(n)])
 
 
 @lru_cache(maxsize=None)
 def projective(n: int, step: int = 1) -> MorphPoly:
-    if n < 0:
-        raise BadParams("projective dimension must be >= 0")
     return _quotient([_projective(n, step)])
 
 
 @lru_cache(maxsize=None)
 def phantom(n: int, step: int = 1) -> MorphPoly:
-    if n < 0 or n % 2:
-        raise BadParams("phantom projective spaces exist in even dimensions")
     return _quotient([_phantom(n, step)])
 
 

@@ -4,9 +4,10 @@ Exit codes: 0 success (or all records pass), 1 verification failures,
 2 parse or usage errors, 3 inexact division, 4 violated preconditions
 (not a cell complex, not integer type, zero quantity, no mixed form, a result
 over the size budget).  Each error class states its own code and the prefix
-of its message (`MorphError.exit_status` and `.kind`), so `run` handles every
-`MorphError` in one place.  Each command is one row of `_COMMANDS`: its name,
-help text, arguments and handler.
+of its message (`MorphError.exit_status` and `.kind`), so every failure, in
+`run` as in the REPL, is one report `kind: message` on stderr (`_report`), and
+the REPL reads on.  Each command is one row of `_COMMANDS`: its name, help
+text, arguments and handler.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from . import factorize
 from . import stability
 from .catalog import lookup, registry_table
 from .lang import eval_expr, parse
-from .quantity import MorphError, MorphPoly, classify, dimension, div_exact, euler, render
+from .quantity import (
+    BASES, MorphError, MorphPoly, UsageError, classify, dimension, div_exact, euler, render)
 
 # Python's int/str digit limit, absent before Python 3.10.7
 _get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-_FORMS = ["r", "p", "mixed"]
+_FORM_USAGE = f":form {'|'.join(BASES)}"
 
 
 def _eval_source(source: str) -> MorphPoly:
@@ -71,28 +73,22 @@ def _cmd_verify(args, out):
     return report.exit_status
 
 
-def _cmd_catalog(args, out):
+def _catalog(args):
     if args.action == "list":
         rows = registry_table()
-        id_w = max(len(r[0]) for r in rows)
-        ar_w = max(len(r[1]) for r in rows)
-        va_w = max(len(r[2]) for r in rows)
-        for entry_id, arity, validity, citation in rows:
-            print(
-                f"{entry_id.ljust(id_w)}  {arity.ljust(ar_w)}  "
-                f"{validity.ljust(va_w)}  {citation}",
-                file=out,
-            )
-        return 0
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "\n".join("  ".join([*map(str.ljust, row[:3], widths), row[3]]) for row in rows)
     if not args.id:
-        print("catalog show needs an entry id", file=sys.stderr)
-        return 2
+        raise UsageError("catalog show needs an entry id")
     spec = lookup(args.id)
-    print(f"id: {spec.id}", file=out)
-    print(f"parameters: {spec.arity}", file=out)
-    print(f"valid for: {spec.validity}", file=out)
-    print(f"about: {spec.citation}", file=out)
-    return 0
+    return (f"id: {spec.id}\nparameters: {spec.arity}\n"
+            f"valid for: {spec.validity}\nabout: {spec.citation}")
+
+
+def _report(exc: MorphError) -> int:
+    """Print the one failure report, `kind: message`, and return the exit status."""
+    print(f"{exc.kind}: {exc}", file=sys.stderr)
+    return exc.exit_status
 
 
 def _cmd_repl(args, out):
@@ -105,27 +101,27 @@ def _cmd_repl(args, out):
         if line == ":quit":
             break
         if line == ":help":
-            print(":quit  :form r|p|mixed  :help", file=out)
+            print(f":quit  {_FORM_USAGE}  :help", file=out)
             continue
         if line.startswith(":form"):
             parts = line.split()
-            if len(parts) == 2 and parts[1] in _FORMS:
+            if len(parts) == 2 and parts[1] in BASES:
                 form = parts[1]
                 print(f"form set to {form}", file=out)
             else:
-                print("usage: :form r|p|mixed", file=sys.stderr)
+                print(f"usage: {_FORM_USAGE}", file=sys.stderr)
             continue
         try:
             print(render(_eval_source(line), form), file=out)
         except MorphError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _report(exc)
     return 0
 
 
 _EXPR = {"expr": {}}
 # name, help text, add_argument options by argument name, handler(args, out) -> exit status
 _COMMANDS = (
-    ("eval", "evaluate an expression", {**_EXPR, "--form": {"choices": _FORMS, "default": "r"}},
+    ("eval", "evaluate an expression", {**_EXPR, "--form": {"choices": BASES, "default": "r"}},
      _printing(lambda args: render(_eval_source(args.expr), args.form))),
     ("classify", "object-hood and hierarchy flags", _EXPR, _printing(_classification)),
     ("euler", "Euler characteristic (value at R = -1)", _EXPR,
@@ -142,7 +138,7 @@ _COMMANDS = (
     ("verify", "verify an identity corpus file",
      {"file": {}, "--json": {"action": "store_true"}}, _cmd_verify),
     ("catalog", "list or show catalog entries",
-     {"action": {"choices": ["list", "show"]}, "id": {"nargs": "?"}}, _cmd_catalog),
+     {"action": {"choices": ["list", "show"]}, "id": {"nargs": "?"}}, _printing(_catalog)),
     ("audit", "bivector partition audit", {"n": {"type": int, "choices": [3, 4, 5]}},
      _printing(_audit)),
     ("repl", "interactive line-at-a-time calculator", {}, _cmd_repl),
@@ -169,17 +165,15 @@ def run(argv, out=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+        return 0 if exc.code in (0, None) else UsageError.exit_status
     limit = _get_digit_limit()
     _set_digit_limit(0)  # an exact result prints every digit; the caller's limit comes back
     try:
         return args.handler(args, out)
     except MorphError as exc:
-        print(f"{exc.kind}: {exc}", file=sys.stderr)
-        return exc.exit_status
+        return _report(exc)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(UsageError(exc))
     finally:
         _set_digit_limit(limit)
 

@@ -238,11 +238,12 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
 
 
 def _shape_token(factor: Factor, n: int):
-    """Coarse shape class of a factor, with degree offset where it is stable.
+    """Signature text of a factor: its coarse shape class, with the degree offset
+    from n where it is stable (`CP+2`, `RPe-1`, `Ph`).
 
     Suspension-type factors (R^k + 1 for k >= 3 and the middle factors of the
     repeated-suspension identities) are dressing that accumulates with n, so
-    they are dropped from the signature.
+    they are dropped from the signature (None).
     """
     token = factor.family
     if token == "SS":
@@ -252,8 +253,8 @@ def _shape_token(factor: Factor, n: int):
     if token in (None, "hopf"):
         return None
     if token == "Ph":
-        return ("Ph",)
-    return (token, factor.poly.degree() - n)
+        return "Ph"
+    return f"{token}{factor.poly.degree() - n:+d}"
 
 
 @dataclass(frozen=True)
@@ -292,14 +293,8 @@ def _signature(result: FactorizationResult, n: int):
         if token is not None:
             tokens.extend([token] * f.multiplicity)
     if result.residual != 1:
-        tokens.append(("residual", render(result.residual, "r")))
-
-    def fmt(t):
-        if len(t) == 1:
-            return t[0]
-        return f"{t[0]}{t[1]:+d}" if isinstance(t[1], int) else f"{t[0]}:{t[1]}"
-
-    return tuple(sorted(fmt(t) for t in tokens))
+        tokens.append(f"residual:{render(result.residual, 'r')}")
+    return tuple(sorted(tokens))
 
 
 def periodicity_scan(k: int, n_range) -> PeriodicityReport:

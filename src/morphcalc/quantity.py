@@ -370,15 +370,15 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
             f"non-zero remainder {_render_terms(_powers(rem, 'Rp'), mult)}",
             remainder={e: Fraction(c, mult) for e, c in enumerate(rem) if c},
         )
-    # the quotient is quo * 2^(den shift - num shift) / mult
+    # The quotient is quo * 2^(den shift - num shift) / mult.  Long division
+    # scales by an odd factor only where a quotient coefficient has it in its
+    # denominator, and the last such coefficient keeps it, so an odd factor of
+    # mult means a non-dyadic quotient.
     twos = (mult & -mult).bit_length() - 1
-    odd = mult >> twos
-    if odd > 1:
-        if any(c % odd for c in quo):
-            raise NonZeroRemainder(
-                "quotient needs non power-of-two denominators; no quantity solution"
-            )
-        quo = [c // odd for c in quo]
+    if mult >> twos > 1:
+        raise NonZeroRemainder(
+            "quotient needs non power-of-two denominators; no quantity solution"
+        )
     shift = num._shift + twos - den._shift
     if shift < 0:
         quo = [c << -shift for c in quo]
@@ -677,6 +677,8 @@ def semi_integral_minimal(q: MorphPoly) -> SemiIntegralForm:
 
 # -- rendering -----------------------------------------------------------
 
+BASES = ("r", "p", "mixed")  # the names `render` takes, in the order they are offered
+
 
 def _power(var: str, e: int) -> str:
     return f"{var}^{e}" if e > 1 else var if e else ""
@@ -718,7 +720,7 @@ def render(q: MorphPoly, basis: str = "r") -> str:
     basis "p": powers of Rp, descending.
     basis "mixed": the minimal semi-integral form c * Rp^j * R^k.
     """
-    if basis not in ("r", "p", "mixed"):
+    if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if q.is_zero():
         return "0"

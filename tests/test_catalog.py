@@ -112,6 +112,19 @@ def test_unknown_and_bad_params():
         catalog_quantity("rbar", [1, 2])
 
 
+def test_builders_called_directly_outside_their_validity_raise_a_morph_error():
+    # the validity text is checked by catalog_entry; a direct call is refused by _quotient
+    for build, n in ((sphere, -1), (poincare_sphere, -1), (projective, -1), (phantom, -2)):
+        with pytest.raises(BadParams, match=r"a factor R\^m - 1 needs m >= 1"):
+            build(n)
+    with pytest.raises(NonZeroRemainder):
+        phantom(3)
+
+
+def test_open_complex_sphere_at_zero_is_two_points():
+    assert catalog_quantity("CSS", [0]) == 2
+
+
 # one row per validity phrase: (phrase, entry, accepted, rejected) at the boundary
 VALIDITY_BOUNDARIES = [
     ("n >= 0", "S", (0,), (-1,)),

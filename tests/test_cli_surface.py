@@ -95,4 +95,4 @@ def test_a_new_error_class_is_reported_by_the_repl(monkeypatch, capsys):
     out = io.StringIO()
     assert cli.run(["repl"], out=out) == 0
     assert out.getvalue() == "morphcalc repl; :help for commands\n"
-    assert capsys.readouterr().err == "error: a fresh failure\n"
+    assert capsys.readouterr().err == "precondition violated: a fresh failure\n"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -590,3 +591,19 @@ def test_any_token_sequence_exits_0_to_4(source, other):
     except MorphError:
         return
     assert len(verify_corpus(records).outcomes) == 1
+
+
+_REPORTS = ("error: ", "inexact division: ", "precondition violated: ")
+
+
+# no ":form mixed": its search over halfline bounds may run for minutes
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_SOURCES, st.sampled_from([":form r", ":form p", ":form x", ":help"])),
+                max_size=6))
+def test_the_repl_reads_on_after_every_line(lines):
+    err = io.StringIO()
+    with (mock.patch.object(sys, "stdin", io.StringIO("".join(f"{line}\n" for line in lines))),
+          contextlib.redirect_stderr(err)):
+        assert run(["repl"], out=io.StringIO()) == 0
+    for line in err.getvalue().splitlines():
+        assert line.startswith(_REPORTS) or line == "usage: :form r|p|mixed", line

@@ -228,6 +228,9 @@ def test_periodicity_report_serialization():
     assert "detected period: 2" in text
     records = report.records()
     assert len(records) == 5 and all(isinstance(n, int) for n, _ in records)
+    report = periodicity_scan(2, range(4, 6))
+    assert report.period == 0
+    assert report.to_text().endswith("no period detected in range")
     with pytest.raises(BadParams):
         periodicity_scan(4, (5, 9))
 

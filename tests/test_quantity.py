@@ -93,6 +93,11 @@ def test_pow():
     assert all(binom.p_coeff(j) == __import__("math").comb(5, j) * 2 ** j for j in range(6))
 
 
+def test_render_rejects_an_unknown_basis():
+    with pytest.raises(ValueError, match="unknown basis 'x'"):
+        render(R, "x")
+
+
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         R ** -1
@@ -190,6 +195,23 @@ def test_div_exact_inverts_mul(a, b):
     if b.is_zero():
         return
     assert div_exact(a * b, b) == a
+
+
+def _with_lead(low, odd, twos):
+    return MorphPoly.from_r_coeffs({**dict(enumerate(low)), len(low): odd * Fraction(2) ** twos})
+
+
+# a divisor whose leading R-coefficient has an odd part, so long division scales by it
+odd_lead_poly = st.builds(_with_lead, st.lists(dyadic, max_size=4),
+                          st.sampled_from([3, 5, 7, 9]), st.integers(-2, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dyadic_r_poly, odd_lead_poly, st.integers(-40, 40).filter(lambda c: c % 3))
+def test_div_exact_by_an_odd_lead(q, den, c):
+    assert div_exact(q * den, den) == q
+    with pytest.raises(NonZeroRemainder, match="non power-of-two denominators"):
+        div_exact(c * den, 3 * den)
 
 
 # -- evaluation and invariants ----------------------------------------------

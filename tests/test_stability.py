@@ -90,6 +90,11 @@ def test_rewrite_bound_exceeded_distinct_from_unreachable():
         rewrite_reachable(3 * R + 4, R + 2, 1)
 
 
+def test_rewrite_reachable_rejects_a_step_bound_below_one():
+    with pytest.raises(ValueError, match="step_bound must be positive"):
+        rewrite_reachable(R, R + 1, step_bound=0)
+
+
 def test_rewrite_neighbors_preserve_invariants():
     state = (3, 1, 2)  # 2R^2 + R + 3
     for nxt in rewrite_neighbors(state):
