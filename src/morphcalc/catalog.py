@@ -13,9 +13,12 @@ on a remainder, so a transcription slip surfaces as InternalDivisionFailed
 instead of a silently wrong polynomial.  Parameters are checked in one place,
 against the registry's validity text, before an entry is built; a builder
 called directly outside it is refused by `_quotient`, either for a factor
-R^m - 1 with m < 1 or for a remainder.  Independent combinatorial oracles
-(Schubert cell enumeration and the Gaussian binomial recurrence) live here as
-well.
+R^m - 1 with m < 1 or for a remainder.  The builders keep no results: one
+cache in `catalog_entry`, keyed by (id, params), keeps at most 1,024 built
+entries, each of at most 2^16 estimated bits, and drops the oldest first, so
+its memory stays bounded however many distinct entries are built.
+Independent combinatorial oracles (Schubert cell enumeration and the Gaussian
+binomial recurrence) live here as well.
 """
 
 from __future__ import annotations
@@ -218,7 +221,6 @@ def _conic(m: int):
 # -- builders --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def sphere(n: int) -> MorphPoly:
     return _quotient([_sphere(n)])
 
@@ -228,27 +230,22 @@ def poincare_sphere(n: int) -> MorphPoly:
     return _quotient([_stereographic(n)])
 
 
-@lru_cache(maxsize=None)
 def projective(n: int, step: int = 1) -> MorphPoly:
     return _quotient([_projective(n, step)])
 
 
-@lru_cache(maxsize=None)
 def phantom(n: int, step: int = 1) -> MorphPoly:
     return _quotient([_phantom(n, step)])
 
 
-@lru_cache(maxsize=None)
 def orthogonal(n: int) -> MorphPoly:
     return _quotient(map(_sphere, range(n)))
 
 
-@lru_cache(maxsize=None)
 def special_orthogonal(n: int) -> MorphPoly:
     return _quotient(map(_sphere, range(1, n)))
 
 
-@lru_cache(maxsize=None)
 def general_linear(n: int) -> MorphPoly:
     return _quotient(_linear_frames(n, n))
 
@@ -273,7 +270,6 @@ def stiefel_linear(n: int, k: int) -> MorphPoly:
     return _quotient(_linear_frames(n, k))
 
 
-@lru_cache(maxsize=None)
 def grassmannian(n: int, k: int, step: int = 1) -> MorphPoly:
     return _quotient([_grassmann(n, k, step)])
 
@@ -488,9 +484,24 @@ def catalog_quantity(entry_id: str, params) -> MorphPoly:
     return catalog_entry(entry_id, params).quantity
 
 
+# The one cache of built entries, keyed by (id, params), oldest first.  An entry
+# is kept when len(ints) * (bits of its largest |c| + 64) is at most
+# _CACHED_BITS, the 64 counting each coefficient's pointer and object, and at
+# most _CACHED_ENTRIES are kept.  That is 2^16 bits (8 KiB) each and 8 MiB in
+# all by the estimate; a CPython int below 2^30 takes 36 bytes with its
+# pointer, not 8, so the cache holds at most about 40 MiB.
+_CACHED_BITS = SIZE_BUDGET >> 6
+_CACHED_ENTRIES = 1024
+_ENTRIES = {}
+
+
 def catalog_entry(entry_id: str, params) -> CatalogEntry:
     spec = lookup(entry_id)
-    params = tuple(int(p) for p in params)
+    params = tuple(map(int, params))
+    key = spec.id, params
+    entry = _ENTRIES.get(key)
+    if entry is not None:
+        return entry
     if not spec.check(params):
         raise BadParams(
             f"{spec.id}({spec.arity}) needs {spec.validity}; got {list(params)}"
@@ -501,7 +512,14 @@ def catalog_entry(entry_id: str, params) -> CatalogEntry:
         raise InternalDivisionFailed(
             f"{spec.id}{list(params)}: internal exact division failed: {exc}"
         ) from exc
-    return CatalogEntry(id=spec.id, params=params, quantity=q, citation=spec.citation)
+    entry = CatalogEntry(id=spec.id, params=params, quantity=q, citation=spec.citation)
+    ints = q._ints
+    if (len(ints) * 65 <= _CACHED_BITS  # else over the bound at any coefficient size
+            and len(ints) * (max(map(abs, ints), default=0).bit_length() + 64) <= _CACHED_BITS):
+        if len(_ENTRIES) >= _CACHED_ENTRIES:
+            del _ENTRIES[next(iter(_ENTRIES))]
+        _ENTRIES[key] = entry
+    return entry
 
 
 # -- independent oracles --------------------------------------------------

@@ -52,6 +52,7 @@ from .catalog import (
     _projective,
     _quotient,
     _times_pairs,
+    catalog_quantity,
     grassmannian,
     phantom,
     projective,
@@ -169,8 +170,9 @@ def _candidates(top: int):
     """The candidates (key, family, name, params, build, exponents) whose top Phi_d is Phi_top.
 
     projective(n, step) tops at d = step*(n + 1) and phantom(2, m) at d = 6m.
-    `build()` makes the polynomial; the key (-degree, family rank, step)
-    orders the greedy scan.
+    `build()` makes the polynomial, through the catalog's cache when the
+    candidate has a name; the key (-degree, family rank, step) orders the
+    greedy scan.
     """
     for step in _divisors(top)[:-1]:  # n >= 1
         n = top // step - 1
@@ -183,13 +185,15 @@ def _candidates(top: int):
             family, name, params = "hopf", None, (n, step)
         else:
             continue
+        build = partial(catalog_quantity, name, params) if name else partial(projective, n, step)
         yield ((-n * step, _FAMILY_RANK[family], step), family, name, params,
-               partial(projective, n, step), _exponents(_projective(n, step)[2]))
+               build, _exponents(_projective(n, step)[2]))
     if top % 6 == 0:
         m = top // 6
         name = {1: "RPh", 2: "CPh", 4: "HPh"}.get(m)
+        build = partial(catalog_quantity, name, (2,)) if name else partial(phantom, 2, m)
         yield ((-2 * m, _FAMILY_RANK["Ph"], m), "Ph", name, (2,) if name else (m,),
-               partial(phantom, 2, m), _exponents(_phantom(2, m)[2]))
+               build, _exponents(_phantom(2, m)[2]))
 
 
 def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
@@ -225,12 +229,12 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
         odd = min(spare, cp.multiplicity)
         m = cp.params[0]
         factors[last_cp:last_cp + 1] = [
-            Factor("RP", "RP", (2 * m + 1,), projective(2 * m + 1, 1), odd),
+            Factor("RP", "RP", (2 * m + 1,), catalog_quantity("RP", (2 * m + 1,)), odd),
             replace(cp, multiplicity=cp.multiplicity - odd),
         ]
         spare -= odd
     if spare:
-        factors.append(Factor("RP", "RP", (1,), projective(1, 1), spare))
+        factors.append(Factor("RP", "RP", (1,), catalog_quantity("RP", (1,)), spare))
     return FactorizationResult(tuple(f for f in factors if f.multiplicity), current)
 
 
@@ -298,7 +302,7 @@ def _signature(result: FactorizationResult, n: int):
 
 
 def periodicity_scan(k: int, n_range) -> PeriodicityReport:
-    """Factor grassmann_divide(real, n, k) across n_range and group by shape."""
+    """Factor the real Grassmannians G(n, k) across n_range and group by shape."""
     if k not in (2, 3):
         raise BadParams("periodicity_scan handles k = 2 and k = 3")
     lo, hi = min(n_range), max(n_range)
@@ -307,7 +311,7 @@ def periodicity_scan(k: int, n_range) -> PeriodicityReport:
     entries = []
     sigs = {}
     for n in range(lo, hi + 1):
-        result = factor_into_catalog(grassmann_divide("real", n, k))
+        result = factor_into_catalog(catalog_quantity("G", (n, k)))
         sig = _signature(result, n)
         sigs[n] = sig
         entries.append((n, sig, result.display()))

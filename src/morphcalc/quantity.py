@@ -78,10 +78,12 @@ class SizeLimitExceeded(MorphError):
 
 
 # Largest accepted estimate of a result's size, (degree + 1) * coefficient bits.
-# A power base^e takes degree e * deg(base) and e * bits(sum |c_i| - 1) bits.  A
-# catalog entry scale * R^a * prod (R^m - 1)^k of degree d is estimated from its
-# pairs as (d + 1) * bits(V // (d + 1)), V its coefficient total, the mean
-# raised for sparse products such as prod (R^m + 1) (see catalog._quotient and
+# A power base^e takes degree e * deg(base) and e * bits(sum |c_i| - 1) bits, a
+# product a * b degree deg a + deg b and bits(max|a| * max|b| * t - 1) bits, t
+# the fewer non-zero coefficients of the two.  A catalog entry scale * R^a *
+# prod (R^m - 1)^k of degree d is estimated from its pairs as
+# (d + 1) * bits(V // (d + 1)), V its coefficient total, the mean raised for
+# sparse products such as prod (R^m + 1) (see catalog._quotient and
 # catalog._peak).  Dense arithmetic near the budget takes seconds: Rp^2000 sits
 # just below.
 SIZE_BUDGET = 1 << 22
@@ -268,6 +270,11 @@ class MorphPoly:
             return MorphPoly.zero()
         if len(a) < len(b):
             a, b = b, a
+        # a coefficient of the product sums at most `terms` products, each at most
+        # max|a| * max|b|; the - 1 follows __pow__'s bits(sum |c| - 1)
+        terms = min(len(a) - a.count(0), len(b) - b.count(0))
+        _check_size(len(a) + len(b) - 2,
+                    (max(map(abs, a)) * max(map(abs, b)) * terms - 1).bit_length())
         n = len(a)
         out = [0] * (n + len(b) - 1)
         for i, x in enumerate(b):
@@ -663,11 +670,14 @@ def _dp_min_rep(q: MorphPoly, j_bound: int):
 def semi_integral_minimal(q: MorphPoly) -> SemiIntegralForm:
     """The minimal-j halfline representation of a semi-integrable quantity.
 
-    Tries j = 0, 1, ... with `_dp_min_rep`; the first feasible bound wins.
+    Tries j = s, s + 1, ... with `_dp_min_rep`, s the shift of q; the first
+    feasible bound wins.  A term c * Rp^p * R^r is c * (R - 1)^p * R^r / 2^p,
+    so a sum of terms with p <= j has R-coefficients in 2^-j Z, and no j below
+    the denominator exponent s is feasible.
     """
     if not classify(q).semi_integrable:
         raise NotSemiIntegrable(f"{render(q, 'r')} is not semi-integrable")
-    for j in range(q.degree() + 1):
+    for j in range(q._shift, q.degree() + 1):
         found = _dp_min_rep(q, j)
         if found is not None:
             j_max = max((p for p, _, _ in found), default=0)

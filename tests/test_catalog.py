@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import pairwise, product
 from math import prod
@@ -406,6 +407,7 @@ def test_times_pairs_matches_multiply_and_exact_division(c, pairs):
 def test_a_builder_remainder_is_an_internal_division_failure(monkeypatch):
     slip = dataclasses.replace(lookup("S"), build=lambda n: _quotient([(1, 0, ((n, 1), (2, -1)))]))
     monkeypatch.setitem(_REGISTRY, "s", slip)
+    monkeypatch.setattr(catalog, "_ENTRIES", {})  # so that S(3) is built by the slip
     with pytest.raises(InternalDivisionFailed, match=r"S\[3\]: internal exact division failed"):
         catalog_entry("S", [3])
 
@@ -568,7 +570,7 @@ def test_size_estimates_bound_the_measured_size(monkeypatch):
 
     monkeypatch.setattr(catalog, "_check_size", record)
     monkeypatch.setattr(catalog, "SIZE_BUDGET", 0)  # so that every build reads its full estimate
-    caches = [f for f in vars(catalog).values() if hasattr(f, "cache_clear")]
+    monkeypatch.setattr(catalog, "_ENTRIES", {})  # and no entry built before is a cache hit
     for spec in _REGISTRY.values():
         if spec.id in _UNBOUNDED:
             continue
@@ -578,11 +580,49 @@ def test_size_estimates_bound_the_measured_size(monkeypatch):
             for ps in product(range(top), repeat=arity):
                 if not spec.check(ps):
                     continue
-                for f in caches:
-                    f.cache_clear()
                 estimates.clear()
                 q = catalog_quantity(spec.id, ps)
                 measured = len(q._ints) * max(abs(c).bit_length() for c in q._ints)
                 assert estimates[-1] <= measured, (spec.id, ps)
                 if spec.id in _SPARSE:
                     assert 2 * estimates[-1] >= measured, (spec.id, ps)
+
+
+# -- the one cache of built entries --------------------------------------------
+
+
+def test_an_entry_is_cached_under_its_int_params(monkeypatch):
+    monkeypatch.setattr(catalog, "_ENTRIES", {})
+    assert catalog_entry("S", [3]) is catalog_entry("S", (3,))
+    assert catalog_entry("G", ["5", 2]) is catalog_entry("g", (5, 2))
+
+
+def test_the_cache_keeps_at_most_its_count_bound_oldest_dropped_first(monkeypatch):
+    monkeypatch.setattr(catalog, "_ENTRIES", {})
+    entries = [catalog_entry("G", (n, 0)) for n in range(1100)]
+    assert len(catalog._ENTRIES) == catalog._CACHED_ENTRIES
+    assert catalog_entry("G", (1099, 0)) is entries[-1]
+    assert catalog_entry("G", (0, 0)) is not entries[0]
+
+
+def test_an_entry_over_the_size_bound_is_not_cached(monkeypatch):
+    monkeypatch.setattr(catalog, "_ENTRIES", {})
+    # S(n) holds n + 1 coefficients 2, estimated at 2 + 64 bits each
+    largest = catalog._CACHED_BITS // 66 - 1
+    assert catalog_entry("S", [largest]) is catalog_entry("S", [largest])
+    assert catalog_entry("S", [largest + 1]) is not catalog_entry("S", [largest + 1])
+
+
+def test_distinct_large_entries_keep_memory_flat():
+    # each S(20000 - i) holds 160 kB of pointers, over the cache's size bound, so
+    # none of them may stay behind (tracing makes each build about 25 times slower)
+    tracemalloc.start()
+    try:
+        catalog_quantity("S", [20000])
+        first = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 8):
+            catalog_quantity("S", [20000 - i])
+        grown = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000, grown

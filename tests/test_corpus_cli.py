@@ -228,6 +228,7 @@ def test_cli_exit_codes():
     "G(20000000,10000000)", "Gh(20000000,10000000)", "O(1000000000)",
     "SOpq(100,100)", "T(500000,500000)", "NC(1000000)", "U(100)", "Sp(80)",
     "NGs(200000,20,20)", "NGcs(200000,20,20)", "NGs(400000,8,8)", "NGcs(100000,20,20)",
+    "S(300000)*S(300000)",
 ])
 def test_cli_results_over_the_size_budget_exit_4(capsys, expr):
     t0 = time.monotonic()

@@ -112,6 +112,14 @@ def test_pow_checks_the_size_budget_before_multiplying():
         (R + 1) ** 2100  # 2101 coefficients of up to 2100 bits
 
 
+def test_mul_counts_non_zero_terms_against_the_size_budget():
+    # counting every coefficient, R^150000 * R^150000 would read 300001 * bits(150000)
+    # bits, over the budget (a dense product over it is a command-line test)
+    assert (R ** 150000) * (R ** 150000) == R ** 300000
+    assert (R ** 100000 + 1) ** 4 == MorphPoly.from_r_coeffs(
+        {100000 * i: c for i, c in enumerate((1, 4, 6, 4, 1))})
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(small_poly, dyadic.map(MorphPoly.constant), st.just(MorphPoly.zero())),
        st.integers(min_value=0, max_value=9))
@@ -335,7 +343,9 @@ def test_dp_matches_search_oracle_to_degree_4():
             continue
         q = MorphPoly(dict(enumerate(coeffs)))
         for j in range(q.degree() + 1):
-            assert _dp_min_rep(q, j) == _search_min_rep(q, j), (coeffs, j)
+            found = _search_min_rep(q, j)
+            assert _dp_min_rep(q, j) == found, (coeffs, j)
+            assert j >= q._shift or found is None, (coeffs, j)  # none below the shift
             pairs += 1
     assert pairs == 4779
 
