@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, pairwise
 from math import comb, gcd
+from typing import NamedTuple
 
 from .quantity import (
     SIZE_BUDGET,
@@ -311,8 +311,7 @@ def conic_open(m: int) -> MorphPoly:
     return conic_compactification(m) - conic_compactification(m - 1)
 
 
-@dataclass(frozen=True)
-class EntrySpec:
+class EntrySpec(NamedTuple):
     id: str
     arity: str
     validity: str
@@ -321,8 +320,7 @@ class EntrySpec:
     build: callable
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     params: tuple
     quantity: MorphPoly

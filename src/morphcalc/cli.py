@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from functools import cache
 
 from . import corpus as corpus_mod
@@ -47,7 +46,7 @@ def _printing(value_of):
 
 def _classification(args):
     c = classify(_eval_source(args.expr))
-    flags = [f.name for f in fields(c) if f.name != "label"]
+    flags = [name for name in c._fields if name != "label"]
     return f"label: {c.label}\n" + " ".join(
         f"{name}={'yes' if getattr(c, name) else 'no'}" for name in flags)
 

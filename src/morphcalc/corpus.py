@@ -14,8 +14,8 @@ build records of this format.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .quantity import MorphError, MorphPoly, P, R, UsageError, render
 from .lang import Expr, eval_expr, parse
@@ -32,8 +32,7 @@ class DuplicateName(UsageError):
     pass
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     name: str
     lhs: Expr
     rhs: Expr
@@ -43,8 +42,7 @@ class IdentityRecord:
     rhs_source: str
 
 
-@dataclass(frozen=True)
-class RecordOutcome:  # the field order is the --json key order
+class RecordOutcome(NamedTuple):  # the field order is the --json key order
     name: str
     expect: str
     outcome: str  # "pass" | "fail"
@@ -54,8 +52,7 @@ class RecordOutcome:  # the field order is the --json key order
     error: str = None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     outcomes: tuple
 
     @property
@@ -88,7 +85,7 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        records = [{k: v for k, v in asdict(o).items() if v is not None} for o in self.outcomes]
+        records = [{k: v for k, v in o._asdict().items() if v is not None} for o in self.outcomes]
         return {
             "summary": {"pass": self.passed, "fail": self.failed},
             "records": records,

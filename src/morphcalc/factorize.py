@@ -34,10 +34,10 @@ of the input fails.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import isqrt, prod
 from operator import add
+from typing import NamedTuple
 
 from .quantity import (
     MorphError,
@@ -75,8 +75,7 @@ def grassmann_divide(field: str, n: int, k: int) -> MorphPoly:
     return grassmannian(n, k, FIELD_STEPS[field])
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     family: str  # R, SS, RP, CP, HP, hopf or Ph
     name: str  # catalog id, or None for a raw polynomial factor
     params: tuple
@@ -93,8 +92,7 @@ class Factor:
         return base if self.multiplicity == 1 else f"{base}^{self.multiplicity}"
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     factors: tuple
     residual: MorphPoly
 
@@ -230,7 +228,7 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
         m = cp.params[0]
         factors[last_cp:last_cp + 1] = [
             Factor("RP", "RP", (2 * m + 1,), catalog_quantity("RP", (2 * m + 1,)), odd),
-            replace(cp, multiplicity=cp.multiplicity - odd),
+            cp._replace(multiplicity=cp.multiplicity - odd),
         ]
         spare -= odd
     if spare:
@@ -261,8 +259,7 @@ def _shape_token(factor: Factor, n: int):
     return f"{token}{factor.poly.degree() - n:+d}"
 
 
-@dataclass(frozen=True)
-class PeriodicityReport:
+class PeriodicityReport(NamedTuple):
     k: int
     entries: tuple  # ((n, signature, factor_display), ...)
     period: int     # 0 when no period detected

@@ -14,7 +14,6 @@ survives a parse/print round trip; evaluation ignores them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
 
@@ -35,58 +34,122 @@ class UnknownName(UsageError):
         self.position = position
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # the nodes' __init__ writes past their own __setattr__
+
+
 class Expr:
-    span: tuple = field(default=None, compare=False, repr=False, kw_only=True)
+    """A syntax-tree node: immutable, its fields named in `_fields`.
+
+    Nodes compare and hash by exact class and fields.  `span`, the node's
+    (start, end) in the source or None, takes part in neither, nor in the repr.
+    """
+
+    __slots__ = ("span",)
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return _rebuild, (self.__class__, self._values(), self.span)
 
 
-@dataclass(frozen=True)
+def _rebuild(cls, values, span):
+    return cls(*values, span=span)
+
+
 class Nat(Expr):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value, *, span=None):
+        _set(self, "value", value)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Sym(Expr):
-    name: str  # a key of _SYMBOLS
+    __slots__ = _fields = ("name",)  # a key of _SYMBOLS
+
+    def __init__(self, name, *, span=None):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class CatalogCall(Expr):
-    id: str
-    params: tuple
+    __slots__ = _fields = ("id", "params")
+
+    def __init__(self, id, params, *, span=None):
+        _set(self, "id", id)
+        _set(self, "params", params)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    items: tuple
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items, *, span=None):
+        _set(self, "items", items)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right, *, span=None):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    items: tuple
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items, *, span=None):
+        _set(self, "items", items)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    num: Expr
-    den: Expr
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num, den, *, span=None):
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base, exponent, *, span=None):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Bracket(Expr):
-    child: Expr
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child, *, span=None):
+        _set(self, "child", child)
+        _set(self, "span", span)
 
 
 _TOKEN_RE = re.compile(

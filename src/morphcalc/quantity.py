@@ -16,11 +16,12 @@ only in the `r_coeffs`/`p_coeffs` views, `evaluate_at`, the remainder map of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import comb, gcd
 from operator import add, or_, sub
+from typing import NamedTuple
 
 
 class MorphError(Exception):
@@ -270,16 +271,22 @@ class MorphPoly:
             return MorphPoly.zero()
         if len(a) < len(b):
             a, b = b, a
-        # a coefficient of the product sums at most `terms` products, each at most
-        # max|a| * max|b|; the - 1 follows __pow__'s bits(sum |c| - 1)
-        terms = min(len(a) - a.count(0), len(b) - b.count(0))
-        _check_size(len(a) + len(b) - 2,
-                    (max(map(abs, a)) * max(map(abs, b)) * terms - 1).bit_length())
+        # a coefficient of the product sums at most t products, each at most top, t
+        # the fewer non-zero coefficients of the two; the - 1 follows __pow__'s
+        # bits(sum |c| - 1).  t <= len(b) bounds the size first, without a count.
+        top = max(map(abs, a)) * max(map(abs, b))
+        if (len(a) + len(b) - 1) * ((top * len(b) - 1).bit_length() or 1) > SIZE_BUDGET:
+            _check_size(len(a) + len(b) - 2,
+                        (top * min(len(a) - a.count(0), len(b) - b.count(0)) - 1).bit_length())
+        # each non-zero coefficient of b takes one pass over a.  Loop over a instead
+        # when that takes fewer steps, as for a long sparse a such as R^m + 1; with
+        # b at most 8 long, b's loop is at most 8 passes and is kept uncounted.
+        if len(b) > 8 and (len(a) - a.count(0)) * len(b) < (len(b) - b.count(0)) * len(a):
+            a, b = b, a
         n = len(a)
         out = [0] * (n + len(b) - 1)
-        for i, x in enumerate(b):
-            if x:
-                out[i:i + n] = map(add, out[i:i + n], map(x.__mul__, a))
+        for i in compress(range(len(b)), b):
+            out[i:i + n] = map(add, out[i:i + n], map(b[i].__mul__, a))
         return _normalised(out, self._shift + other._shift)
 
     __rmul__ = __mul__
@@ -422,8 +429,7 @@ def dimension(q: MorphPoly) -> int:
 # -- classification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:  # the field order is the order `morphcalc classify` prints
+class Classification(NamedTuple):  # the field order is the order `morphcalc classify` prints
     is_object: bool
     integrable: bool
     semi_integrable: bool
@@ -484,8 +490,7 @@ def classify(q: MorphPoly) -> Classification:
 # -- minimal semi-integral form -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SemiIntegralForm:
+class SemiIntegralForm(NamedTuple):
     """Representation sum(c * Rp^p * R^r) with positive integer c and minimal max p."""
 
     terms: tuple  # ((p_exp, r_exp, coeff), ...) sorted by (p desc, r desc)

@@ -13,7 +13,7 @@ complexes may be searched for from both ends at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .quantity import (  # noqa: F401  (dimension is re-exported)
     MorphError,
@@ -88,8 +88,7 @@ class CellComplex:
         return f"CellComplex({list(self.coefficients)})"
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     dimension: int
     kind: str  # "pure_top" -> count * R^n, "top_plus" -> R^n + count * R^(n-1)
     count: int

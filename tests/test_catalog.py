@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import time
 import tracemalloc
@@ -405,7 +404,7 @@ def test_times_pairs_matches_multiply_and_exact_division(c, pairs):
 
 
 def test_a_builder_remainder_is_an_internal_division_failure(monkeypatch):
-    slip = dataclasses.replace(lookup("S"), build=lambda n: _quotient([(1, 0, ((n, 1), (2, -1)))]))
+    slip = lookup("S")._replace(build=lambda n: _quotient([(1, 0, ((n, 1), (2, -1)))]))
     monkeypatch.setitem(_REGISTRY, "s", slip)
     monkeypatch.setattr(catalog, "_ENTRIES", {})  # so that S(3) is built by the slip
     with pytest.raises(InternalDivisionFailed, match=r"S\[3\]: internal exact division failed"):

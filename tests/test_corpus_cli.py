@@ -506,6 +506,16 @@ def _run_process(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_importing_the_command_line_loads_no_code_generator():
+    # dataclasses generates each record's methods by exec at import, and imports
+    # inspect; -S keeps site's own imports out of the count
+    src = str(Path(morphcalc.__file__).resolve().parent.parent)
+    probe = "import sys, morphcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_cli_process_prints_every_digit_of_a_large_result():
     code, out, err = _run_process("eval", "7^6000")
     digits = out.strip()

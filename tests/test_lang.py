@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 
 import pytest
@@ -222,3 +224,27 @@ def test_long_sums_and_products_parse_in_linear_time():
         assert time.monotonic() - t0 < 2
         assert len(e.items) == n + 1
         assert eval_expr(e) == value
+
+
+def test_nodes_compare_and_hash_by_class_and_fields_but_not_span():
+    one, two = Nat(1), Nat(2)
+    assert Add((one, two)) != Mul((one, two))
+    assert Add((one, two)) == Add(items=(one, two), span=(0, 5))
+    tight, loose = parse("S(3)*(R+1)"), parse("S(3) * ( R + 1 )")
+    assert tight.span != loose.span
+    assert tight == loose and hash(tight) == hash(loose)
+    assert repr(Nat(2)) == "Nat(value=2)"
+    assert repr(tight) == "Mul(items=(CatalogCall(id='S', params=(3,)), Bracket(child=Add(" \
+        "items=(Sym(name='R'), Nat(value=1))))))"
+
+
+def test_nodes_are_immutable_and_copies_keep_their_span():
+    e = parse("R^2 - 1")
+    with pytest.raises(AttributeError):
+        e.left = Nat(0)
+    with pytest.raises(AttributeError):
+        e.span = None
+    with pytest.raises(AttributeError):
+        del e.right
+    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and twin.span == e.span and twin.left.span == e.left.span

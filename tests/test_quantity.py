@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,18 @@ def test_mul_counts_non_zero_terms_against_the_size_budget():
     assert (R ** 150000) * (R ** 150000) == R ** 300000
     assert (R ** 100000 + 1) ** 4 == MorphPoly.from_r_coeffs(
         {100000 * i: c for i, c in enumerate((1, 4, 6, 4, 1))})
+
+
+def test_mul_of_a_long_sparse_and_a_long_dense_operand_is_fast_and_exact():
+    # (R^300000 + 1) * S(200000) is two passes over S(200000); one pass for each
+    # of S(200000)'s coefficients over R^300000 + 1 took minutes
+    sparse, dense = R ** 300000 + 1, eval_expr(parse("S(200000)"))
+    t0 = time.monotonic()
+    products = sparse * dense, dense * sparse
+    assert time.monotonic() - t0 < 10
+    expected = MorphPoly.from_r_coeffs(
+        {e: 2 for e in itertools.chain(range(200001), range(300000, 500001))})
+    assert products == (expected, expected)
 
 
 @settings(max_examples=150, deadline=None)
