@@ -1,7 +1,5 @@
 """morphcalc: exact calculator for the quantity polynomials of classical manifolds."""
 
-from importlib import resources
-
 from .quantity import (
     Classification,
     MorphError,
@@ -52,4 +50,6 @@ __version__ = "0.1.0"
 
 def corpus_path():
     """Filesystem path of the identity corpus shipped with the package."""
+    from importlib import resources  # it loads pathlib and tempfile; only this path pays
+
     return resources.files(__name__).joinpath("data/identities.morph")

@@ -7,14 +7,16 @@ over the size budget).  Each error class states its own code and the prefix
 of its message (`MorphError.exit_status` and `.kind`), so every failure, in
 `run` as in the REPL, is one report `kind: message` on stderr (`_report`), and
 the REPL reads on.  Each command is one row of `_COMMANDS`: its name, help
-text, arguments and handler.
+text, arguments and handler.  A plain command line is read straight from its
+row (`_read_plain`); argparse reads help requests, usage errors and every other
+spelling, with the same output as before, and is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from . import corpus as corpus_mod
 from . import factorize
@@ -146,6 +148,8 @@ _COMMANDS = (
 
 @cache  # parse_args returns a fresh namespace, so one parser serves every call
 def _build_parser():
+    import argparse  # only help requests, usage errors and other spellings pay for it
+
     ap = argparse.ArgumentParser(
         prog="morphcalc",
         description="exact calculator for quantity polynomials in R and Rp",
@@ -159,12 +163,91 @@ def _build_parser():
     return ap
 
 
+def _plain_plan(arguments):
+    """How `_read_plain` reads a row: (defaults, options, positionals, required count).
+
+    None when the row uses an argument kind the plain reader does not know, so
+    argparse reads every command line of that row.  An optional positional
+    (`nargs="?"`) is known only as the last argument of a row with no options,
+    where argparse's matching of positionals between options cannot differ.
+    """
+    defaults, options, positionals, required = {}, {}, [], None
+    for name, spec in arguments.items():
+        if required is not None:
+            return None
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            if spec == {"action": "store_true"}:
+                options[name], defaults[dest] = (dest, None), False
+            elif "choices" in spec and spec.keys() <= {"choices", "default"}:
+                options[name], defaults[dest] = (dest, spec["choices"]), spec.get("default")
+            else:
+                return None
+        elif spec == {"nargs": "?"} and not options:
+            required, defaults[name] = len(positionals), None
+            positionals.append((name, None, None))
+        elif spec.keys() <= {"type", "choices"}:
+            positionals.append((name, spec.get("type"), spec.get("choices")))
+        else:
+            return None
+    return defaults, options, positionals, len(positionals) if required is None else required
+
+
+_PLANS = {name: (handler, plan) for name, _, arguments, handler in _COMMANDS
+          if (plan := _plain_plan(arguments)) is not None}
+
+
+def _read_plain(argv):
+    """The namespace argparse would give a plain command line, or None for argparse to read.
+
+    A plain command line is a command name, then only exact option strings of
+    its row (a flag, or an option and one of its choices, each at most once)
+    and between the required and the total number of positionals, each of
+    which converts with its type and lies in its choices.
+    """
+    row = _PLANS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    handler, (defaults, options, positionals, required) = row
+    values = {"command": argv[0], "handler": handler, **defaults}
+    seen, words, tokens = set(), [], iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        if token not in options or token in seen:
+            return None
+        seen.add(token)
+        dest, choices = options[token]
+        if choices is None:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value not in choices:
+            return None
+        values[dest] = value
+    if not required <= len(words) <= len(positionals):
+        return None
+    for word, (dest, convert, choices) in zip(words, positionals):
+        try:
+            value = word if convert is None else convert(word)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else UsageError.exit_status
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else UsageError.exit_status
     limit = _get_digit_limit()
     _set_digit_limit(0)  # an exact result prints every digit; the caller's limit comes back
     try:

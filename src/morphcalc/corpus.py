@@ -13,7 +13,6 @@ build records of this format.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from typing import NamedTuple
 
@@ -92,6 +91,8 @@ class VerifyReport(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json  # only a --json report pays for it
+
         return json.dumps(self.to_json_dict(), indent=2)
 
 

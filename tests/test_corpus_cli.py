@@ -508,9 +508,11 @@ def _run_process(*argv):
 
 def test_importing_the_command_line_loads_no_code_generator():
     # dataclasses generates each record's methods by exec at import, and imports
-    # inspect; -S keeps site's own imports out of the count
+    # inspect; argparse (with gettext), json and importlib.resources are loaded
+    # only by the paths that use them; -S keeps site's own imports out of the count
     src = str(Path(morphcalc.__file__).resolve().parent.parent)
-    probe = "import sys, morphcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "json", "importlib.resources"}
+    probe = f"import sys, morphcalc.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
