@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-from functools import lru_cache
 from itertools import chain, combinations, pairwise
 from math import comb, gcd
 from typing import NamedTuple
@@ -539,11 +538,16 @@ def schubert_cells(n: int, k: int):
     return list(reversed(counts))
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> MorphPoly:
-    """Gaussian binomial in R by the Pascal-type recurrence C(n,k) = C(n-1,k-1) + R^k*C(n-1,k)."""
+    """Gaussian binomial in R by the Pascal-type recurrence C(n,k) = C(n-1,k-1) + R^k*C(n-1,k).
+
+    One row, no recursion and no memo: after i passes row[j] is C(j + i, j),
+    so n - k passes leave C(n, k) in row[k].
+    """
     if k < 0 or n < 0 or k > n:
         raise BadParams("gaussian_binomial needs 0 <= k <= n")
-    if k == 0 or k == n:
-        return MorphPoly.constant(1)
-    return gaussian_binomial(n - 1, k - 1) + R ** k * gaussian_binomial(n - 1, k)
+    row = [MorphPoly.constant(1)] * (k + 1)
+    for _ in range(n - k):
+        for j in range(1, k + 1):
+            row[j] = row[j - 1] + R ** j * row[j]
+    return row[k]

@@ -302,6 +302,8 @@ def periodicity_scan(k: int, n_range) -> PeriodicityReport:
     """Factor the real Grassmannians G(n, k) across n_range and group by shape."""
     if k not in (2, 3):
         raise BadParams("periodicity_scan handles k = 2 and k = 3")
+    if not n_range:
+        raise BadParams("periodicity_scan needs a non-empty range")
     lo, hi = min(n_range), max(n_range)
     if lo <= k:
         raise BadParams("range must stay within k < n")

@@ -8,12 +8,15 @@ Grammar (explicit '*' required, no unary minus, '^' binds tightest):
     atom   := NAT | "R" | "Rp" | "C" | "H" | IDENT "(" NAT ("," NAT)* ")" | "(" expr ")"
 
 Parenthesised sub-expressions become Bracket nodes, so source bracketing
-survives a parse/print round trip; evaluation ignores them.
+survives a parse/print round trip; evaluation ignores them.  Every node is a
+named tuple under the one base Expr, declared on one line, whose last field
+is its source `span`.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import reduce
 from operator import add, mul
 
@@ -34,122 +37,45 @@ class UnknownName(UsageError):
         self.position = position
 
 
-_set = object.__setattr__  # the nodes' __init__ writes past their own __setattr__
+class Expr(tuple):
+    """A syntax-tree node: a named tuple whose last field is `span`.
 
-
-class Expr:
-    """A syntax-tree node: immutable, its fields named in `_fields`.
-
-    Nodes compare and hash by exact class and fields.  `span`, the node's
-    (start, end) in the source or None, takes part in neither, nor in the repr.
+    `span` is the node's (start, end) in the source, or None.  Nodes compare
+    and hash by exact class and their other fields; `span` takes part in
+    neither, nor in the repr, and a node never equals a plain tuple.
     """
 
-    __slots__ = ("span",)
-    _fields = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
+    __slots__ = ()
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
-        return hash((self.__class__, self._values()))
+        return hash((self.__class__, self[:-1]))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
         return f"{type(self).__name__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return _rebuild, (self.__class__, self._values(), self.span)
+def _node(name, fields):
+    """The Expr class `name`: a named tuple of `fields` and a last `span` that defaults to None."""
+    return type(name, (Expr, namedtuple(name, f"{fields} span", defaults=(None,), module=__name__)),
+                {"__slots__": ()})
 
 
-def _rebuild(cls, values, span):
-    return cls(*values, span=span)
-
-
-class Nat(Expr):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value, *, span=None):
-        _set(self, "value", value)
-        _set(self, "span", span)
-
-
-class Sym(Expr):
-    __slots__ = _fields = ("name",)  # a key of _SYMBOLS
-
-    def __init__(self, name, *, span=None):
-        _set(self, "name", name)
-        _set(self, "span", span)
-
-
-class CatalogCall(Expr):
-    __slots__ = _fields = ("id", "params")
-
-    def __init__(self, id, params, *, span=None):
-        _set(self, "id", id)
-        _set(self, "params", params)
-        _set(self, "span", span)
-
-
-class Add(Expr):
-    __slots__ = _fields = ("items",)
-
-    def __init__(self, items, *, span=None):
-        _set(self, "items", items)
-        _set(self, "span", span)
-
-
-class Sub(Expr):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left, right, *, span=None):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "span", span)
-
-
-class Mul(Expr):
-    __slots__ = _fields = ("items",)
-
-    def __init__(self, items, *, span=None):
-        _set(self, "items", items)
-        _set(self, "span", span)
-
-
-class Div(Expr):
-    __slots__ = _fields = ("num", "den")
-
-    def __init__(self, num, den, *, span=None):
-        _set(self, "num", num)
-        _set(self, "den", den)
-        _set(self, "span", span)
-
-
-class Pow(Expr):
-    __slots__ = _fields = ("base", "exponent")
-
-    def __init__(self, base, exponent, *, span=None):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set(self, "span", span)
-
-
-class Bracket(Expr):
-    __slots__ = _fields = ("child",)
-
-    def __init__(self, child, *, span=None):
-        _set(self, "child", child)
-        _set(self, "span", span)
+Nat = _node("Nat", "value")
+Sym = _node("Sym", "name")  # name is a key of _SYMBOLS
+CatalogCall = _node("CatalogCall", "id params")
+Add = _node("Add", "items")
+Sub = _node("Sub", "left right")
+Mul = _node("Mul", "items")
+Div = _node("Div", "num den")
+Pow = _node("Pow", "base exponent")
+Bracket = _node("Bracket", "child")
 
 
 _TOKEN_RE = re.compile(
@@ -216,7 +142,7 @@ class _Parser:
                 items.append(right)
             else:
                 left = _flat(Add, items, start)
-                items = [Sub(left=left, right=right, span=(start, right.span[1]))]
+                items = [Sub(left, right, (start, right.span[1]))]
         return _flat(Add, items, start)
 
     def term(self):
@@ -229,7 +155,7 @@ class _Parser:
                 items.append(right)
             else:
                 num = _flat(Mul, items, start)
-                items = [Div(num=num, den=right, span=(start, right.span[1]))]
+                items = [Div(num, right, (start, right.span[1]))]
         return _flat(Mul, items, start)
 
     def factor(self):
@@ -237,24 +163,24 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("NAT")
-            node = Pow(base=node, exponent=_nat(tok), span=(node.span[0], tok[2] + len(tok[1])))
+            node = Pow(node, _nat(tok), (node.span[0], tok[2] + len(tok[1])))
         return node
 
     def atom(self):
         tok = self.advance()
         kind, text, pos = tok
         if kind == "NAT":
-            return Nat(value=_nat(tok), span=(pos, pos + len(text)))
+            return Nat(_nat(tok), (pos, pos + len(text)))
         if kind == "IDENT":
             if self.peek()[0] == "(":
                 return self.catalog_call(text, pos)
             if text not in _SYMBOLS:
                 raise UnknownName(text, pos)
-            return Sym(name=text, span=(pos, pos + len(text)))
+            return Sym(text, (pos, pos + len(text)))
         if kind == "(":
             child = self.expr()
             close = self.expect(")")
-            return Bracket(child=child, span=(pos, close[2] + 1))
+            return Bracket(child, (pos, close[2] + 1))
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
     def catalog_call(self, name, pos):
@@ -266,14 +192,14 @@ class _Parser:
             self.advance()
             params.append(_nat(self.expect("NAT")))
         close = self.expect(")")
-        return CatalogCall(id=name, params=tuple(params), span=(pos, close[2] + 1))
+        return CatalogCall(name, tuple(params), (pos, close[2] + 1))
 
 
 def _flat(cls, items, start):
     """The one node for a run of operands joined by + (cls Add) or * (cls Mul)."""
     if len(items) == 1:
         return items[0]
-    return cls(items=tuple(items), span=(start, items[-1].span[1]))
+    return cls(tuple(items), (start, items[-1].span[1]))
 
 
 def parse(source: str) -> Expr:

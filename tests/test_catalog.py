@@ -194,6 +194,23 @@ def test_gaussian_binomial_duality():
             assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
 
 
+def test_gaussian_binomial_has_no_recursion_limit():
+    assert gaussian_binomial(1200, 2) == catalog_quantity("G", (1200, 2))
+
+
+def test_gaussian_binomial_keeps_no_memo():
+    gaussian_binomial(200, 3)  # warm up whatever the first call allocates once
+    tracemalloc.start()
+    try:
+        first = tracemalloc.get_traced_memory()[0]
+        for n in range(201, 213):
+            gaussian_binomial(n, 3)
+        grown = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert grown < 50_000, grown
+
+
 def test_oracle_triangle_small():
     for n in range(2, 9):
         for k in range(1, n):

@@ -235,6 +235,11 @@ def test_periodicity_report_serialization():
         periodicity_scan(4, (5, 9))
 
 
+def test_periodicity_scan_of_an_empty_range_is_bad_params():
+    with pytest.raises(BadParams, match="non-empty range"):
+        periodicity_scan(2, range(5, 5))
+
+
 # -- reference: greedy trial division by candidate polynomials ------------------
 
 

@@ -10,6 +10,7 @@ from morphcalc.lang import (
     Bracket,
     CatalogCall,
     Div,
+    Expr,
     ExprSyntaxError,
     Mul,
     Nat,
@@ -248,3 +249,36 @@ def test_nodes_are_immutable_and_copies_keep_their_span():
         del e.right
     for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
         assert twin == e and twin.span == e.span and twin.left.span == e.left.span
+
+
+def test_a_node_never_equals_a_plain_tuple():
+    assert Nat(1) != (1, None) and (1, None) != Nat(1)
+    assert not Nat(1) == (1, None) and not (1, None) == Nat(1)
+    assert Add((Nat(1),)) != ((Nat(1),), None)
+
+
+def test_span_takes_no_part_in_equality_or_hash():
+    spanned, bare = Add((Nat(1, span=(0, 1)),)), Add((Nat(1),))
+    assert spanned == bare and hash(spanned) == hash(bare)
+
+
+def test_replacing_the_span_keeps_the_class_and_the_value():
+    e = parse("S(3)*(R+1) - 2^3/Rp")
+    bare = e._replace(span=None)
+    assert type(bare) is Sub and bare.span is None and bare == e
+    assert Nat._fields == ("value", "span") and Nat(2, (0, 1)) == Nat(value=2)
+
+
+def test_a_protocol_0_pickle_keeps_every_span():
+    e = parse("S(3)*(R+1) - 2^3/Rp")
+    twin = pickle.loads(pickle.dumps(e, protocol=0))
+
+    def spans(node):
+        yield type(node), node.span
+        for value in node[:-1]:
+            for child in value if type(value) is tuple else (value,):
+                if isinstance(child, Expr):
+                    yield from spans(child)
+
+    assert twin == e and list(spans(twin)) == list(spans(e))
+    assert len(list(spans(e))) == 11
