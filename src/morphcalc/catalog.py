@@ -10,7 +10,9 @@ a quotient row names the factors it divides by.  The pairs are merged and the
 size is read from them before any arithmetic; the product is then built on
 plain R-coefficients, each division by R^m - 1 one top-down pass that raises
 on a remainder, so a transcription slip surfaces as InternalDivisionFailed
-instead of a silently wrong polynomial.  Parameters are checked in one place,
+instead of a silently wrong polynomial.  An entry that one `_quotient` call
+builds keeps its merged factor (scale, a, pairs), from which `factorize`
+reads its cyclotomic exponents.  Parameters are checked in one place,
 against the registry's validity text, before an entry is built; a builder
 called directly outside it is refused by `_quotient`, either for a factor
 R^m - 1 with m < 1 or for a remainder.  The builders keep no results: one
@@ -73,7 +75,9 @@ def _quotient(factors, over=()) -> MorphPoly:
       coefficient; with no divisors, V // (d + 1) is raised to _peak's bound.
 
     The product is built by `_times_pairs`; a division that leaves a
-    remainder raises NonZeroRemainder.
+    remainder raises NonZeroRemainder.  While `catalog_entry` builds, the
+    result and its merged factor (scale, a, pairs) replace the top of
+    `_PRODUCTS`.
     """
     scales = {-1: 1, 1: 1}  # of the divisors and of the factors
     shift = degree = width = step = 0
@@ -120,7 +124,10 @@ def _quotient(factors, over=()) -> MorphPoly:
     c = _times_pairs([scale], merged.items())
     if c is None:
         raise NonZeroRemainder("a factor R^m - 1 leaves a non-zero remainder")
-    return _normalised([0] * shift + c, 0)
+    q = _normalised([0] * shift + c, 0)
+    if _PRODUCTS:  # `catalog_entry` is building: it keeps the merged factor with the entry
+        _PRODUCTS[-1] = q, (scale, shift, tuple(merged.items()))
+    return q
 
 
 def _times_pairs(c, pairs):
@@ -324,6 +331,9 @@ class CatalogEntry(NamedTuple):
     params: tuple
     quantity: MorphPoly
     citation: str
+    # the quantity as one factor (scale, a, ((m, k), ...)), its pairs merged by
+    # `_quotient`; None for NC and CSS, which are sums
+    merged: tuple = None
 
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
@@ -490,6 +500,10 @@ def catalog_quantity(entry_id: str, params) -> MorphPoly:
 _CACHED_BITS = SIZE_BUDGET >> 6
 _CACHED_ENTRIES = 1024
 _ENTRIES = {}
+# One slot per `catalog_entry` build in progress, for the (quantity, merged
+# factor) of the last `_quotient` call; empty at any other time.  A row that is
+# one product returns that quantity itself, so `is` tells it from a sum.
+_PRODUCTS = []
 
 
 def catalog_entry(entry_id: str, params) -> CatalogEntry:
@@ -503,13 +517,17 @@ def catalog_entry(entry_id: str, params) -> CatalogEntry:
         raise BadParams(
             f"{spec.id}({spec.arity}) needs {spec.validity}; got {list(params)}"
         )
+    _PRODUCTS.append(None)
     try:
         q = spec.build(*params)
     except NonZeroRemainder as exc:
         raise InternalDivisionFailed(
             f"{spec.id}{list(params)}: internal exact division failed: {exc}"
         ) from exc
-    entry = CatalogEntry(id=spec.id, params=params, quantity=q, citation=spec.citation)
+    finally:
+        last = _PRODUCTS.pop()
+    merged = last[1] if last is not None and last[0] is q else None
+    entry = CatalogEntry(spec.id, params, q, spec.citation, merged)
     ints = q._ints
     if (len(ints) * 65 <= _CACHED_BITS  # else over the bound at any coefficient size
             and len(ints) * (max(map(abs, ints), default=0).bit_length() + 64) <= _CACHED_BITS):

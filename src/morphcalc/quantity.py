@@ -378,6 +378,8 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
         if low:
             rem[k:] = map(sub, rem[k:], map(f.__mul__, low))
     if any(rem):
+        while not rem[-1]:  # the view costs the square of the length it is given
+            rem.pop()
         rem, shift = _halfline_ints(rem, num._shift)
         mult <<= shift  # the remainder is sum(rem[e] * Rp^e) / mult
         raise NonZeroRemainder(
@@ -455,6 +457,8 @@ def classify(q: MorphPoly) -> Classification:
     integrable = integer_type and min(q._ints) >= 0
     if integrable:  # non-negative integers in R stay so in Rp = (R - 1)/2
         is_object = semi = True
+    elif q._ints[-1] < 0:  # the leading halfline coefficient is c_d * 2^d / 2^s, as negative
+        is_object = semi = False
     else:
         p_ints, p_shift = _halfline_ints(q._ints, q._shift)
         is_object = p_shift == 0 and p_ints[-1] >= 1

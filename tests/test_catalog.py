@@ -428,6 +428,24 @@ def test_a_builder_remainder_is_an_internal_division_failure(monkeypatch):
         catalog_entry("S", [3])
 
 
+def test_a_product_entry_keeps_the_factor_it_was_built_as(monkeypatch):
+    # every row but the sums NC and CSS is one factor (scale, a, pairs) once its pairs merge
+    for spec in _REGISTRY.values():
+        arity = 3 if spec.id == "Flag" else len(spec.arity.split(","))
+        for ps in product(range(7), repeat=arity):
+            if spec.check(ps):
+                entry = catalog_entry(spec.id, ps)
+                assert (entry.merged is None) == (spec.id in ("NC", "CSS")), (spec.id, ps)
+                if entry.merged is not None:
+                    assert _quotient([entry.merged]) == entry.quantity, (spec.id, ps)
+    slip = lookup("S")._replace(build=lambda n: _quotient([(1, 0, ((n, 1), (2, -1)))]))
+    monkeypatch.setitem(_REGISTRY, "s", slip)
+    monkeypatch.setattr(catalog, "_ENTRIES", {})
+    with pytest.raises(InternalDivisionFailed):
+        catalog_entry("S", [3])
+    assert catalog._PRODUCTS == []  # a slot lives only while its build runs
+
+
 def test_large_builds_are_fast_and_exact():
     # each against a closed form; a quadratic change of basis per build or print costs seconds here
     t0 = time.monotonic()

@@ -620,3 +620,18 @@ def test_the_repl_reads_on_after_every_line(lines):
         assert run(["repl"], out=io.StringIO()) == 0
     for line in err.getvalue().splitlines():
         assert line.startswith(_REPORTS) or line == "usage: :form r|p|mixed", line
+
+
+_NO_FLAGS = ("is_object=no integrable=no semi_integrable=no integer_type=no "
+             "half_integer_type=no just_another_type=no")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (("factor", "S(20000)"), 0, "factors: RP(20000)\nresidual: 2\n", ""),
+    (("divide", "S(12000)", "S(5999)"), 3, "", "inexact division: non-zero remainder 2\n"),
+    (("classify", "0-R^20000"), 0, f"label: NotAnObject\n{_NO_FLAGS}\n", ""),
+])
+def test_large_inputs_answer_within_a_deadline(argv, code, out, err):
+    t0 = time.monotonic()
+    assert _run_process(*argv) == (code, out, err)
+    assert time.monotonic() - t0 < 10

@@ -1,17 +1,22 @@
 import time
 from collections import Counter
+from itertools import product
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphcalc import factorize
 from morphcalc.catalog import (
     BadParams,
+    catalog_entry,
     gaussian_binomial,
     grassmannian,
+    lookup,
     phantom,
     poincare_sphere,
     projective,
+    registry_table,
     schubert_cells,
     sphere,
 )
@@ -24,11 +29,13 @@ from morphcalc.factorize import (
     _candidates,
     _cyclotomic,
     _cyclotomic_exponents,
+    _pair_exponents,
     factor_into_catalog,
     grassmann_divide,
     periodicity_scan,
 )
-from morphcalc.quantity import MorphPoly, NonZeroRemainder, classify, div_exact, render
+from morphcalc.quantity import (
+    MorphPoly, NonZeroRemainder, _normalised, classify, div_exact, render)
 
 R = MorphPoly.line()
 
@@ -434,3 +441,92 @@ def test_large_factorizations_round_trip_fast(build, params):
     t0 = time.monotonic()
     assert factor_into_catalog(q).product() == q
     assert time.monotonic() - t0 < 2
+
+
+# -- the two sources of the exponents: a product's pairs, or fold tests -----
+
+
+def _product_calls():
+    """Every call of a row but the sums NC and CSS with parameters 0..8; Flag with up to four."""
+    for entry_id, arity, _, _ in registry_table():
+        if entry_id in ("NC", "CSS"):
+            continue
+        names = arity.split(",")
+        for length in range(2, 5) if names[-1] == "k1..ks" else [len(names)]:
+            for params in product(range(9), repeat=length):
+                if lookup(entry_id).check(params):
+                    yield entry_id, params
+
+
+def _both_sources(entry):
+    """The exponents and the ints left, read from the entry's pairs and by fold tests."""
+    q, low = entry.quantity, entry.merged[1]
+    top = 3 * (len(q._ints) - 1 - low)
+    return [(exponents, _normalised(rest, 0)) for exponents, rest in (
+        _pair_exponents(entry.merged, top),
+        _cyclotomic_exponents(q._ints[low:], range(2, top + 1)))]
+
+
+def test_both_exponent_sources_agree_on_every_catalog_product():
+    calls = list(_product_calls())
+    assert len(calls) == 1452
+    for call in calls:
+        entry = catalog_entry(*call)
+        from_pairs, by_folds = _both_sources(entry)
+        assert from_pairs == by_folds, call
+        assert (factor_into_catalog(entry.quantity, entry.merged)
+                == factor_into_catalog(entry.quantity)), call
+
+
+@pytest.mark.parametrize("call", [
+    ("S", (4000,)), ("G", (200, 5)), ("G", (40, 20)), ("G", (18, 5)), ("RPh", (4,))])
+def test_both_exponent_sources_agree_on_large_and_named_calls(call):
+    entry = catalog_entry(*call)
+    t0 = time.monotonic()
+    result = factor_into_catalog(entry.quantity, entry.merged)
+    assert time.monotonic() - t0 < 0.5
+    assert result == factor_into_catalog(entry.quantity)
+    if call == ("S", (4000,)):
+        assert result.display() == "RP(4000)  [residual: 2]"
+
+
+def test_pairs_that_make_no_polynomial_leave_the_exponents_to_the_fold_tests():
+    not_a_polynomial = (1, 0, ((2, 1), (4, -1)))  # (R^2 - 1)/(R^4 - 1): e_4 = -1
+    assert _pair_exponents(not_a_polynomial, 12) is None
+    q = sphere(5)
+    assert factor_into_catalog(q, not_a_polynomial) == factor_into_catalog(q)
+
+
+def _fold_calls(monkeypatch):
+    calls = []
+    fold = factorize._cyclotomic_exponents
+    monkeypatch.setattr(factorize, "_cyclotomic_exponents",
+                        lambda *args: calls.append(args) or fold(*args))
+    return calls
+
+
+@pytest.mark.parametrize("expr,folds", [
+    ("G(6,3)", False), ("S(40)", False), ("Flag(7,2,4)", False),
+    ("NC(5)", True), ("CSS(3)", True), ("G(6,3) + 1", True), ("S(3)*S(4)", True),
+    ("R^3000 - 1", True),
+])
+def test_the_cli_factors_a_lone_catalog_call_from_its_pairs(monkeypatch, capsys, expr, folds):
+    fold_calls = _fold_calls(monkeypatch)
+    assert run(["factor", expr]) == 0
+    assert bool(fold_calls) == folds
+    factors, residual = capsys.readouterr().out.splitlines()
+    assert factors.startswith("factors: ") and residual.startswith("residual: ")
+
+
+def test_periodicity_scan_reads_no_fold(monkeypatch):
+    fold_calls = _fold_calls(monkeypatch)
+    assert periodicity_scan(3, range(4, 14)).period == 6
+    assert fold_calls == []
+
+
+@pytest.mark.parametrize("expr", ["G(3,5)", "Nope(2)", "RPh(3)", "S(99999999999)", "S(-1)"])
+def test_a_lone_catalog_call_fails_in_factor_as_in_eval(capsys, expr):
+    code = run(["eval", expr])
+    assert code != 0
+    failed = capsys.readouterr()
+    assert (run(["factor", expr]), capsys.readouterr()) == (code, failed)

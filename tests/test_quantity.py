@@ -22,7 +22,7 @@ from morphcalc.quantity import (
     render,
     semi_integral_minimal,
 )
-from morphcalc.quantity import _dp_min_rep, _search_min_rep
+from morphcalc.quantity import _dp_min_rep, _halfline_ints, _search_min_rep
 from morphcalc.lang import eval_expr, parse
 
 R = MorphPoly.line()
@@ -190,6 +190,24 @@ def test_div_exact_remainder():
     assert "2" in str(err.value)  # frozen by long division: remainder is 2
 
 
+@pytest.mark.parametrize("num,den,message", [
+    ("R^2+1", "R+1", "non-zero remainder 2"),
+    ("R^3+2", "R^3+1", "non-zero remainder 1"),
+    ("R^5+R^4+5", "2*R^4", "non-zero remainder 5"),
+    ("Rp^7+R", "R^5-1",
+     "non-zero remainder 0 - 35/8*Rp^4 - 105/16*Rp^3 - 125/32*Rp^2 + 53/64*Rp + 1"),
+    ("S(12000)", "S(5999)", "non-zero remainder 2"),
+])
+def test_a_remainder_message_costs_the_remainder_not_the_divisor(num, den, message):
+    # S(12000) by S(5999) leaves 2, in a list as long as the divisor
+    num, den = eval_expr(parse(num)), eval_expr(parse(den))
+    t0 = time.monotonic()
+    with pytest.raises(NonZeroRemainder) as err:
+        div_exact(num, den)
+    assert time.monotonic() - t0 < 0.5
+    assert str(err.value) == message
+
+
 def test_div_exact_non_dyadic_quotient():
     with pytest.raises(NonZeroRemainder):
         div_exact(MorphPoly.constant(7), MorphPoly.constant(3))
@@ -287,6 +305,23 @@ def test_classify_flag_details():
     assert c.integer_type and not c.semi_integrable
     c = classify(R ** 2 - 1)
     assert c.integer_type and c.semi_integrable and not c.integrable
+
+
+def test_classify_reads_a_negative_lead_without_the_halfline_view():
+    # the leading halfline coefficient is c_d * 2^d / 2^s, so its sign is that of c_d
+    for coeffs in itertools.product(range(-2, 3), repeat=4):
+        for shift in (0, 1, 2):
+            q = MorphPoly.from_r_coeffs({i: Fraction(c, 2 ** shift) for i, c in enumerate(coeffs)})
+            if q.is_zero():
+                continue
+            p_ints, p_shift = _halfline_ints(q._ints, q._shift)
+            is_object = p_shift == 0 and p_ints[-1] >= 1
+            c = classify(q)
+            assert (c.is_object, c.semi_integrable) == (is_object, is_object and min(p_ints) >= 0)
+    q = MorphPoly.zero() - R ** 4000
+    t0 = time.monotonic()
+    assert classify(q).label == "NotAnObject"
+    assert time.monotonic() - t0 < 0.5
 
 
 @settings(max_examples=120, deadline=None)
