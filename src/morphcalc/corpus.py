@@ -157,12 +157,13 @@ def verify_record(record: IdentityRecord) -> RecordOutcome:
         equal = lhs == rhs
         ok = equal if record.expect == "equal" else not equal
         diff = render(lhs - rhs, "r") if not ok and record.expect == "equal" else None
+        lhs_text = render(lhs, "r")
         return RecordOutcome(
             name=record.name,
             expect=record.expect,
             outcome="pass" if ok else "fail",
-            lhs=render(lhs, "r"),
-            rhs=render(rhs, "r"),
+            lhs=lhs_text,
+            rhs=lhs_text if equal else render(rhs, "r"),  # equal sides render alike
             difference=diff,
         )
     except MorphError as exc:  # evaluating or rendering, e.g. over the digit limit

@@ -20,6 +20,7 @@ from collections import namedtuple
 from functools import reduce
 from operator import add, mul
 
+from . import catalog
 from .catalog import _REGISTRY, catalog_quantity
 from .quantity import MorphError, MorphPoly, P, R, UsageError, div_exact
 
@@ -106,90 +107,91 @@ def _nat(tok) -> int:
 
 
 class _Parser:
+    """Recursive descent in two methods, so one bracket level takes two frames.
+
+    `expr` reads the terms of a sum and the factors of each term in two nested
+    loops; `factor` reads one atom and its `^ NAT`, and a bracket's inner
+    expression through `expr`.
+    """
+
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
+    def expect(self, kind):
         tok = self.tokens[self.index]
+        if tok[0] != kind:
+            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         self.index += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.advance()
-
     def parse(self):
         expr = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.index]
         if tok[0] != "EOF":
             raise ExprSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
         return expr
 
     def expr(self):
-        start = self.peek()[2]
-        items = [self.term()]
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.term()
+        tokens = self.tokens
+        start = tokens[self.index][2]
+        items = []  # the operands of the current run of +
+        op = "+"
+        while True:
+            term_start = tokens[self.index][2]
+            factors = [self.factor()]  # the operands of the current run of *
+            while (factor_op := tokens[self.index][0]) == "*" or factor_op == "/":
+                self.index += 1
+                right = self.factor()
+                if factor_op == "*":
+                    factors.append(right)
+                else:
+                    num = _flat(Mul, factors, term_start)
+                    factors = [Div(num, right, (term_start, right.span[1]))]
+            term = _flat(Mul, factors, term_start)
             if op == "+":
-                items.append(right)
+                items.append(term)
             else:
                 left = _flat(Add, items, start)
-                items = [Sub(left, right, (start, right.span[1]))]
-        return _flat(Add, items, start)
-
-    def term(self):
-        start = self.peek()[2]
-        items = [self.factor()]
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            right = self.factor()
-            if op == "*":
-                items.append(right)
-            else:
-                num = _flat(Mul, items, start)
-                items = [Div(num, right, (start, right.span[1]))]
-        return _flat(Mul, items, start)
+                items = [Sub(left, term, (start, term.span[1]))]
+            op = tokens[self.index][0]
+            if op != "+" and op != "-":
+                return _flat(Add, items, start)
+            self.index += 1
 
     def factor(self):
-        node = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("NAT")
-            node = Pow(node, _nat(tok), (node.span[0], tok[2] + len(tok[1])))
-        return node
-
-    def atom(self):
-        tok = self.advance()
+        tokens = self.tokens
+        tok = tokens[self.index]
+        self.index += 1
         kind, text, pos = tok
         if kind == "NAT":
-            return Nat(_nat(tok), (pos, pos + len(text)))
-        if kind == "IDENT":
-            if self.peek()[0] == "(":
-                return self.catalog_call(text, pos)
-            if text not in _SYMBOLS:
+            node = Nat(_nat(tok), (pos, pos + len(text)))
+        elif kind == "IDENT":
+            if tokens[self.index][0] == "(":
+                node = self.catalog_call(text, pos)
+            elif text in _SYMBOLS:
+                node = Sym(text, (pos, pos + len(text)))
+            else:
                 raise UnknownName(text, pos)
-            return Sym(text, (pos, pos + len(text)))
-        if kind == "(":
+        elif kind == "(":
             child = self.expr()
             close = self.expect(")")
-            return Bracket(child, (pos, close[2] + 1))
-        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
+            node = Bracket(child, (pos, close[2] + 1))
+        else:
+            raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
+        if tokens[self.index][0] == "^":
+            self.index += 1
+            tok = self.expect("NAT")
+            node = Pow(node, _nat(tok), (pos, tok[2] + len(tok[1])))
+        return node
 
     def catalog_call(self, name, pos):
         if name.lower() not in _REGISTRY or _REGISTRY[name.lower()].id != name:
             raise UnknownName(name, pos)
-        self.expect("(")
+        self.index += 1  # the "(" that made this a call
         params = [_nat(self.expect("NAT"))]
-        while self.peek()[0] == ",":
-            self.advance()
+        while self.tokens[self.index][0] == ",":
+            self.index += 1
             params.append(_nat(self.expect("NAT")))
         close = self.expect(")")
         return CatalogCall(name, tuple(params), (pos, close[2] + 1))
@@ -259,7 +261,11 @@ def _eval(e: Expr) -> MorphPoly:
         if isinstance(e, Sym):
             return _SYMBOLS[e.name]
         if isinstance(e, CatalogCall):
-            return catalog_quantity(e.id, e.params)
+            try:  # a parsed call is the cache's exact key: (id, tuple of ints)
+                entry = catalog._ENTRIES.get(e[:2])
+            except TypeError:  # unhashable params, which catalog_quantity reports
+                entry = None
+            return entry.quantity if entry is not None else catalog_quantity(e.id, e.params)
         if isinstance(e, Add):
             return reduce(add, map(_eval, e.items))
         if isinstance(e, Sub):

@@ -89,6 +89,13 @@ class SizeLimitExceeded(MorphError):
 # just below.
 SIZE_BUDGET = 1 << 22
 
+# Largest accepted estimate of the halfline view's size, in bits (see
+# `_view_bits`).  The view of a degree-d quantity holds about d^2 bits however
+# small its R-coefficients, so it has a bound of its own, above SIZE_BUDGET:
+# S(3000) in the Rp basis, estimated at 18 M bits, is answered in about 2 s;
+# R^20000, at 800 M bits, is refused.
+VIEW_BUDGET = 1 << 25
+
 
 def _check_size(degree: int, bits: int) -> None:
     size = (degree + 1) * max(bits, 1)
@@ -142,11 +149,26 @@ def _normalised(ints, shift) -> "MorphPoly":
     return q
 
 
+def _view_bits(ints) -> int:
+    """A bound on the bits of the halfline ints of sum(ints[i] * R^i), all d + 1 of them.
+
+    Each |h_j| <= sum |c_i| * C(i, j) * 2^j <= max|c| * (d + 1) * 4^d.
+    """
+    n = len(ints)
+    return n * (max(map(abs, ints), default=0).bit_length() + n.bit_length() + 2 * n - 2)
+
+
 def _halfline_ints(ints, shift):
     """sum(ints[i] * R^i) / 2^shift as halfline ints and shift, in normal form.
 
-    The one change to the halfline basis, by Horner in R = 2*Rp + 1.
+    The one change to the halfline basis, by Horner in R = 2*Rp + 1.  A view
+    estimated over VIEW_BUDGET raises SizeLimitExceeded before any work.
     """
+    bits = _view_bits(ints)
+    if bits > VIEW_BUDGET:
+        raise SizeLimitExceeded(
+            f"the halfline form would hold about {bits} bits, over the view budget of {VIEW_BUDGET}"
+        )
     acc = list(ints[-1:])
     for k in range(len(ints) - 2, -1, -1):  # acc -> acc * (2*Rp + 1) + ints[k]
         twice = [c << 1 for c in acc]
@@ -204,9 +226,6 @@ class MorphPoly:
     def p_coeffs(self) -> dict:
         ints, shift = _halfline_ints(self._ints, self._shift)
         return {e: Fraction(c, 1 << shift) for e, c in enumerate(ints) if c}
-
-    def p_coeff(self, exp: int) -> Fraction:
-        return self.p_coeffs().get(exp, Fraction(0))
 
     def r_coeffs(self) -> dict:
         """Coefficients over R.  May be half-integral."""
@@ -278,6 +297,11 @@ class MorphPoly:
         if (len(a) + len(b) - 1) * ((top * len(b) - 1).bit_length() or 1) > SIZE_BUDGET:
             _check_size(len(a) + len(b) - 2,
                         (top * min(len(a) - a.count(0), len(b) - b.count(0)) - 1).bit_length())
+        shift = self._shift + other._shift
+        # a monomial c * R^j / 2^s times the other operand is one scaled shift
+        mono, rest = (b, a) if b.count(0) == len(b) - 1 else (a, b)
+        if mono.count(0) == len(mono) - 1:
+            return _normalised([*mono[:-1], *map(mono[-1].__mul__, rest)], shift)
         # each non-zero coefficient of b takes one pass over a.  Loop over a instead
         # when that takes fewer steps, as for a long sparse a such as R^m + 1; with
         # b at most 8 long, b's loop is at most 8 passes and is kept uncounted.
@@ -287,7 +311,7 @@ class MorphPoly:
         out = [0] * (n + len(b) - 1)
         for i in compress(range(len(b)), b):
             out[i:i + n] = map(add, out[i:i + n], map(b[i].__mul__, a))
-        return _normalised(out, self._shift + other._shift)
+        return _normalised(out, shift)
 
     __rmul__ = __mul__
 
@@ -298,6 +322,9 @@ class MorphPoly:
             _check_size(n * self.degree(), n * (sum(map(abs, self._ints)) - 1).bit_length())
         if not n:
             return MorphPoly.constant(1)
+        c = self._ints
+        if c.count(0) == len(c) - 1:  # (c * R^j / 2^s)^n = c^n * R^(jn) / 2^(sn)
+            return _normalised([0] * (n * (len(c) - 1)) + [c[-1] ** n], n * self._shift)
         result = self  # left to right over the bits of n after the leading one
         for bit in bin(n)[3:]:
             result = result * result
@@ -380,7 +407,10 @@ def div_exact(num: MorphPoly, den: MorphPoly) -> MorphPoly:
     if any(rem):
         while not rem[-1]:  # the view costs the square of the length it is given
             rem.pop()
-        rem, shift = _halfline_ints(rem, num._shift)
+        try:
+            rem, shift = _halfline_ints(rem, num._shift)
+        except SizeLimitExceeded:  # too large to write out, so named by its degree
+            raise NonZeroRemainder(f"non-zero remainder of degree {len(rem) - 1}") from None
         mult <<= shift  # the remainder is sum(rem[e] * Rp^e) / mult
         raise NonZeroRemainder(
             f"non-zero remainder {_render_terms(_powers(rem, 'Rp'), mult)}",
@@ -504,91 +534,13 @@ class SemiIntegralForm(NamedTuple):
         return sum((c * P ** p * R ** r for p, r, c in self.terms), MorphPoly.zero())
 
 
-def _term_vector(p, r, degree):
-    # halfline expansion of Rp^p * R^r as a dense tuple up to `degree`
-    vec = [0] * (degree + 1)
-    for j in range(r + 1):
-        vec[p + j] = comb(r, j) * (1 << j)
-    return tuple(vec)
-
-
-def _search_min_rep(q: MorphPoly, j_bound: int):
-    """Best representation with halfline exponent <= j_bound, or None.
+def _dp_min_rep(q: MorphPoly, j_bound: int):
+    """The best representation with halfline exponent <= j_bound, or None.
 
     Best means: minimal sum of coefficients on terms with p > 0, then the
     lexicographically smallest coefficient vector with terms ordered by
-    (p desc, r desc).  Exhaustive branch-and-bound, exponential in the
-    degree: the reference oracle for tests of `_dp_min_rep`, which
-    `semi_integral_minimal` calls instead.
-    """
-    degree = q.degree()
-    target, shift = _halfline_ints(q._ints, q._shift)
-    if shift or min(target) < 0:
-        return None
-    terms = [
-        (p, r)
-        for p in range(min(j_bound, degree), -1, -1)
-        for r in range(degree - p, -1, -1)
-    ]
-    vectors = {t: _term_vector(t[0], t[1], degree) for t in terms}
-    suffix_top = [0] * (len(terms) + 1)
-    suffix_top[len(terms)] = -1
-    for i in range(len(terms) - 1, -1, -1):
-        suffix_top[i] = max(suffix_top[i + 1], terms[i][0] + terms[i][1])
-
-    best = None  # (possum, coeff_vector)
-
-    def residual_ok(res, index):
-        # anything still needed above the top degree of the remaining terms is dead
-        return all(res[d] == 0 for d in range(suffix_top[index] + 1, degree + 1))
-
-    def rec(index, res, possum, coeffs):
-        nonlocal best
-        if best is not None and possum > best[0]:
-            return
-        if index == len(terms):
-            if all(v == 0 for v in res):
-                cand = (possum, tuple(coeffs))
-                if best is None or cand < (best[0], best[1]):
-                    best = cand
-            return
-        if not residual_ok(res, index):
-            return
-        p, r = terms[index]
-        vec = vectors[(p, r)]
-        # c is capped by the residual's top coefficient this term can reach;
-        # the break below prunes once any coefficient would go negative
-        top = p + r
-        cmax = res[top] // vec[top]
-        for c in range(0, cmax + 1):
-            if c:
-                new = list(res)
-                bad = False
-                for d in range(p, top + 1):
-                    new[d] = res[d] - c * vec[d]
-                    if new[d] < 0:
-                        bad = True
-                        break
-                if bad:
-                    break
-                nres = new
-            else:
-                nres = list(res)
-            coeffs.append(c)
-            rec(index + 1, nres, possum + (c if p > 0 else 0), coeffs)
-            coeffs.pop()
-
-    rec(0, list(target), 0, [])
-    if best is None:
-        return None
-    assignment = tuple(
-        (p, r, c) for (p, r), c in zip(terms, best[1]) if c
-    )
-    return assignment
-
-
-def _dp_min_rep(q: MorphPoly, j_bound: int):
-    """`_search_min_rep`'s answer by one dynamic program over R-degree.
+    (p desc, r desc).  Found by one dynamic program over R-degree; the tests
+    check it against an exhaustive search.
 
     Sweep r = 0..degree.  The terms chosen with R-exponent < r leave
     q - (their sum) = R^r * E, with E an integer polynomial in Rp (E = q at
@@ -605,7 +557,7 @@ def _dp_min_rep(q: MorphPoly, j_bound: int):
     costs big + w(p, r), where w are mixed-radix weights over the bounds
     a_(p,r) <= min_j c_(p+j) // (C(r, j) * 2^j) in (p desc, r desc) order and
     big exceeds every sum of weights.  The cheapest path is then the
-    search's minimal p > 0 sum with its lexicographic tie-break.
+    minimal p > 0 sum with its lexicographic tie-break.
 
     A step keeps only the successors E' in which no E'_k can grow by one.
     Growing E'_k takes 1 from a_k and 2 from a_(k+1), so it needs a_k >= 1

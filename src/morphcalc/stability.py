@@ -99,12 +99,6 @@ class NormalForm(NamedTuple):
             return MorphPoly.from_r_coeffs({n: self.count})
         return MorphPoly.from_r_coeffs({n: 1, n - 1: self.count})
 
-    def euler(self) -> int:
-        sign = -1 if self.dimension % 2 else 1
-        if self.kind == "pure_top":
-            return sign * self.count
-        return sign - sign * self.count
-
     def describe(self) -> str:
         return render(self.quantity(), "r")
 

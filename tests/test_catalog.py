@@ -29,7 +29,7 @@ from morphcalc.catalog import (
     sphere,
 )
 from morphcalc.corpus import hopf_family, sphere_addition
-from morphcalc.lang import eval_expr
+from morphcalc.lang import eval_expr, parse
 from morphcalc.quantity import (
     MorphPoly,
     NonZeroRemainder,
@@ -629,6 +629,32 @@ def test_an_entry_is_cached_under_its_int_params(monkeypatch):
     monkeypatch.setattr(catalog, "_ENTRIES", {})
     assert catalog_entry("S", [3]) is catalog_entry("S", (3,))
     assert catalog_entry("G", ["5", 2]) is catalog_entry("g", (5, 2))
+
+
+@pytest.mark.parametrize("entry_id, params, key", [
+    ("s", (3,), ("S", (3,))),
+    ("S", [3], ("S", (3,))),
+    ("S", (3.0,), ("S", (3,))),
+    ("RP", (True,), ("RP", (1,))),
+    ("g", [7.0, True], ("G", (7, 1))),
+])
+def test_an_entry_is_read_under_any_spelling_of_its_key(entry_id, params, key):
+    for _ in range(2):  # built, then from the cache
+        entry = catalog_entry(entry_id, params)
+        assert (entry.id, entry.params) == key
+        assert all(type(p) is int for p in entry.params)
+        assert entry.quantity == eval_expr(parse(f"{key[0]}({','.join(map(str, key[1]))})"))
+
+
+@pytest.mark.parametrize("entry_id, params, error, message", [
+    ("g", (2.0, 5), BadParams, "G(n,k) needs 0 <= k <= n; got [2, 5]"),
+    ("s", [True, 2], BadParams, "S(n) needs n >= 0; got [1, 2]"),
+    ("nope", (3,), UnknownEntry, "unknown catalog entry 'nope'"),
+])
+def test_a_refused_spelling_keeps_its_message(entry_id, params, error, message):
+    with pytest.raises(error) as refused:
+        catalog_entry(entry_id, params)
+    assert str(refused.value) == message
 
 
 def test_the_cache_keeps_at_most_its_count_bound_oldest_dropped_first(monkeypatch):

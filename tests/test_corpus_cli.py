@@ -131,6 +131,30 @@ def test_verify_corpus_passes_and_fails():
     assert report.exit_status == 1
 
 
+def test_every_failing_record_renders_both_sides():
+    text = (
+        "wrong ; R ; == ; R + 1 ; off by a point\n"
+        "same ; 1 + R ; != ; R + 1 ; equal sides where unequal ones are expected\n"
+        "half ; Rp ; == ; R/2 ; off by a half\n"
+    )
+    outcomes = verify_corpus(load_corpus(text)).outcomes
+    assert [(o.outcome, o.lhs, o.rhs, o.difference) for o in outcomes] == [
+        ("fail", "R", "R + 1", "0 - 1"),
+        ("fail", "R + 1", "R + 1", None),
+        ("fail", "1/2*R - 1/2", "1/2*R", "0 - 1/2"),
+    ]
+
+
+def test_the_verify_report_renders_each_side_of_every_record():
+    code, text = _run(["verify", str(morphcalc.corpus_path()), "--json"])
+    records = load_corpus(_shipped_text())
+    rows = json.loads(text)["records"]
+    assert code == 0 and len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert row["lhs"] == render(eval_expr(record.lhs), "r"), record.name
+        assert row["rhs"] == render(eval_expr(record.rhs), "r"), record.name
+
+
 def test_verify_klein_record():
     report = verify_corpus(load_corpus(
         "klein ; (RP(2)-1)+(R+1) ; == ; (R+1)*(R+1) ; klein bottle blow-up\n"
@@ -228,7 +252,7 @@ def test_cli_exit_codes():
     "G(20000000,10000000)", "Gh(20000000,10000000)", "O(1000000000)",
     "SOpq(100,100)", "T(500000,500000)", "NC(1000000)", "U(100)", "Sp(80)",
     "NGs(200000,20,20)", "NGcs(200000,20,20)", "NGs(400000,8,8)", "NGcs(100000,20,20)",
-    "S(300000)*S(300000)",
+    "S(300000)*S(300000)", "(2*R)^5000000", "R^2100000*R^2100000",
 ])
 def test_cli_results_over_the_size_budget_exit_4(capsys, expr):
     t0 = time.monotonic()
@@ -630,6 +654,11 @@ _NO_FLAGS = ("is_object=no integrable=no semi_integrable=no integer_type=no "
     (("factor", "S(20000)"), 0, "factors: RP(20000)\nresidual: 2\n", ""),
     (("divide", "S(12000)", "S(5999)"), 3, "", "inexact division: non-zero remainder 2\n"),
     (("classify", "0-R^20000"), 0, f"label: NotAnObject\n{_NO_FLAGS}\n", ""),
+    (("eval", "R^20000", "--form", "p"), 4, "", "precondition violated: the halfline form "
+     "would hold about 800360016 bits, over the view budget of 33554432\n"),
+    (("eval", "S(60000)/S(30000)"), 3, "", "inexact division: non-zero remainder of degree 29999\n"),
+    (("eval", "S(20000)", "--form", "mixed"), 4, "", "precondition violated: the halfline form "
+     "would hold about 800380017 bits, over the view budget of 33554432\n"),
 ])
 def test_large_inputs_answer_within_a_deadline(argv, code, out, err):
     t0 = time.monotonic()

@@ -1,9 +1,16 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import morphcalc
+from morphcalc.catalog import BadParams, UnknownEntry, catalog_quantity
 
 from morphcalc.lang import (
     Add,
@@ -22,7 +29,9 @@ from morphcalc.lang import (
     parse,
     print_expr,
 )
-from morphcalc.quantity import MorphPoly, NonZeroRemainder
+from morphcalc.quantity import MorphError, MorphPoly, NonZeroRemainder
+
+from oracles import oracle_parse
 
 R = MorphPoly.line()
 P = MorphPoly.halfline()
@@ -269,16 +278,102 @@ def test_replacing_the_span_keeps_the_class_and_the_value():
     assert Nat._fields == ("value", "span") and Nat(2, (0, 1)) == Nat(value=2)
 
 
+def _spans(node):
+    """(class, span) of every node of a tree, in pre-order."""
+    yield type(node), node.span
+    for value in node[:-1]:
+        for child in value if type(value) is tuple else (value,):
+            if isinstance(child, Expr):
+                yield from _spans(child)
+
+
 def test_a_protocol_0_pickle_keeps_every_span():
     e = parse("S(3)*(R+1) - 2^3/Rp")
     twin = pickle.loads(pickle.dumps(e, protocol=0))
+    assert twin == e and list(_spans(twin)) == list(_spans(e))
+    assert len(list(_spans(e))) == 11
 
-    def spans(node):
-        yield type(node), node.span
-        for value in node[:-1]:
-            for child in value if type(value) is tuple else (value,):
-                if isinstance(child, Expr):
-                    yield from spans(child)
 
-    assert twin == e and list(spans(twin)) == list(spans(e))
-    assert len(list(spans(e))) == 11
+# -- the parser against the four-method oracle --------------------------------
+
+def _reading(parse_source, source):
+    """What a parser makes of `source`: its tree with every span, or its error."""
+    try:
+        tree = parse_source(source)
+    except MorphError as exc:
+        return type(exc), str(exc), exc.position
+    return tree, repr(tree), list(_spans(tree))
+
+
+# up to 40 characters: single characters, or tokens of at most two
+_PARSER_INPUTS = st.one_of(
+    st.text("RpCHSGPcsx0123456789()+-*/^, \t$", max_size=40),
+    st.lists(st.sampled_from(["R", "Rp", "C", "H", "S", "G", "RP", "Gc", "s", "x", "0", "1", "2",
+                              "12", "(", ")", ",", "+", "-", "*", "/", "^", " ", "\t", "$"]),
+             max_size=20).map("".join))
+_DIGIT_RUN = "7" * 4301  # over Python's default int/str digit limit of 4300
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(_PARSER_INPUTS,
+                 st.tuples(_PARSER_INPUTS, _PARSER_INPUTS).map(_DIGIT_RUN.join)))
+@example("S(3)*S(4)*Rp + 2*Rp^2*R^3 - R^2/(1 - C)^2")
+@example("G(7,3)^2 - H*x")
+@example("(R + 1")
+@example("RP(2,)")
+@example("S()")
+def test_parse_agrees_with_the_oracle_parser(source):
+    assert _reading(parse, source) == _reading(oracle_parse, source)
+
+
+def test_one_bracket_level_takes_two_frames():
+    # in a fresh interpreter at the default recursion limit: the oracle spends
+    # four frames per bracket level, parse two, so parse reads twice as deep
+    probe = ("from morphcalc import eval_expr, parse\n"
+             "from oracles import oracle_parse\n"
+             "for n in (300, 3000):\n"
+             "    for read in (parse, oracle_parse):\n"
+             "        try:\n"
+             "            print(n, read.__name__, eval_expr(read('(' * n + 'R' + ')' * n)))\n"
+             "        except Exception as exc:\n"
+             "            print(n, read.__name__, exc)\n")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(morphcalc.__file__).resolve().parent.parent), str(here)])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "300 parse R",
+        "300 oracle_parse expression nested too deeply (at position 249)",
+        "3000 parse expression nested too deeply (at position 498)",
+        "3000 oracle_parse expression nested too deeply (at position 249)",
+    ]
+
+
+# -- catalog calls read the cache by their exact key --------------------------
+
+@pytest.mark.parametrize("node, value", [
+    (CatalogCall("S", (3,)), "S(3)"),
+    (CatalogCall("s", (3,)), "S(3)"),  # not a parsed call: the id is looked up
+    (CatalogCall("G", [7, 3]), "G(7,3)"),  # unhashable params take the lookup too
+    (CatalogCall("S", (3.0,)), "S(3)"),
+    (CatalogCall("RP", (True,)), "RP(1)"),
+])
+def test_a_catalog_call_node_evaluates_as_catalog_quantity_does(node, value):
+    eval_expr(parse(value))  # the entry is in the cache
+    assert eval_expr(node) == catalog_quantity(node.id, node.params) == eval_expr(parse(value))
+
+
+@pytest.mark.parametrize("node, error, message", [
+    (CatalogCall("G", (2, 5)), BadParams, "G(n,k) needs 0 <= k <= n; got [2, 5]"),
+    (CatalogCall("Nope", (1,)), UnknownEntry, "unknown catalog entry 'Nope'"),
+    (CatalogCall("S", ("x",)), ValueError, "invalid literal for int() with base 10: 'x'"),
+    (CatalogCall("S", ([3],)), TypeError, None),  # int()'s own words, which vary by version
+])
+def test_a_catalog_call_node_fails_as_catalog_quantity_does(node, error, message):
+    with pytest.raises(error) as direct:
+        catalog_quantity(node.id, node.params)
+    with pytest.raises(error) as evaluated:
+        eval_expr(node)
+    assert str(evaluated.value) == str(direct.value)
+    assert message is None or str(direct.value) == message

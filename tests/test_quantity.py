@@ -22,8 +22,10 @@ from morphcalc.quantity import (
     render,
     semi_integral_minimal,
 )
-from morphcalc.quantity import _dp_min_rep, _halfline_ints, _search_min_rep
+from morphcalc.quantity import VIEW_BUDGET, _dp_min_rep, _halfline_ints, _view_bits
 from morphcalc.lang import eval_expr, parse
+
+from oracles import _search_min_rep, p_coeff
 
 R = MorphPoly.line()
 P = MorphPoly.halfline()
@@ -91,7 +93,7 @@ def test_pow():
     assert q ** 1 == q
     assert q ** 0 == 1
     binom = (2 * P + 1) ** 5
-    assert all(binom.p_coeff(j) == __import__("math").comb(5, j) * 2 ** j for j in range(6))
+    assert all(p_coeff(binom, j) == __import__("math").comb(5, j) * 2 ** j for j in range(6))
 
 
 def test_render_rejects_an_unknown_basis():
@@ -163,6 +165,45 @@ def test_pow_multiplies_only_towards_the_result(monkeypatch):
                 assert a.degree() + b.degree() <= result.degree()
 
 
+# -- monomial operands: one scaled shift, no convolution ----------------------
+
+monomial = st.builds(
+    lambda c, j, s: MorphPoly.from_r_coeffs({j: Fraction(c, 2 ** s)}),
+    st.integers(-40, 40).filter(bool), st.integers(0, 12), st.integers(0, 4))
+
+_POINTS = (Fraction(0), Fraction(-1), Fraction(3, 2), Fraction(-7, 5), Fraction(11, 3))
+
+
+def _convolution(a, b):
+    """a * b by the schoolbook double loop over the Fraction R-coefficients."""
+    out = {}
+    for i, x in a.r_coeffs().items():
+        for j, y in b.r_coeffs().items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return MorphPoly.from_r_coeffs(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial, st.one_of(small_poly, dyadic_r_poly, monomial,
+                           dyadic.map(MorphPoly.constant), st.just(MorphPoly.zero())))
+def test_a_monomial_product_is_the_convolution(m, q):
+    expected = _convolution(m, q)
+    assert m * q == q * m == expected
+    for x in _POINTS:
+        assert evaluate_at(m * q, x) == evaluate_at(q * m, x) == evaluate_at(m, x) * evaluate_at(q, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial, st.integers(min_value=0, max_value=40))
+def test_a_monomial_power_is_repeated_convolution(m, n):
+    expected = MorphPoly.constant(1)
+    for _ in range(n):
+        expected = _convolution(expected, m)
+    assert m ** n == expected
+    for x in _POINTS:
+        assert evaluate_at(m ** n, x) == evaluate_at(m, x) ** n
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_poly, small_poly, small_poly)
 def test_ring_laws(a, b, c):
@@ -206,6 +247,17 @@ def test_a_remainder_message_costs_the_remainder_not_the_divisor(num, den, messa
         div_exact(num, den)
     assert time.monotonic() - t0 < 0.5
     assert str(err.value) == message
+
+
+def test_a_remainder_over_the_view_budget_is_named_by_its_degree():
+    # S(2n) by S(n) leaves 2 * (R^(n-1) + .. + 1); at n = 30000 its halfline
+    # form would hold about 1.8 G bits
+    num, den = eval_expr(parse("S(60000)")), eval_expr(parse("S(30000)"))
+    t0 = time.monotonic()
+    with pytest.raises(NonZeroRemainder) as err:
+        div_exact(num, den)
+    assert time.monotonic() - t0 < 2
+    assert (str(err.value), err.value.remainder) == ("non-zero remainder of degree 29999", None)
 
 
 def test_div_exact_non_dyadic_quotient():
@@ -278,6 +330,34 @@ def test_euler_invariant_under_cell_rewrites(q, data):
     j = data.draw(st.sampled_from(exps))
     rewritten = q + MorphPoly.from_r_coeffs({j: 1, j - 1: 1})  # R^j -> 2R^j + R^(j-1)
     assert evaluate_at(rewritten, -1) == evaluate_at(q, -1)
+
+
+# -- the halfline view ------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_poly, dyadic_r_poly, monomial))
+def test_the_view_estimate_bounds_every_halfline_coefficient(q):
+    ints, _ = _halfline_ints(q._ints, q._shift)
+    assert len(ints) * max((c.bit_length() for c in ints), default=0) <= _view_bits(q._ints)
+
+
+def test_the_view_estimate_bounds_a_large_view():
+    q = eval_expr(parse("S(700) - 3*R^699 + Rp^5"))
+    ints, _ = _halfline_ints(q._ints, q._shift)
+    assert len(ints) * max(c.bit_length() for c in ints) <= _view_bits(q._ints)
+
+
+def test_a_view_over_its_budget_is_refused_before_any_work():
+    # S(3000) in the Rp basis stays answerable; its estimate is about 18 M bits
+    assert _view_bits(eval_expr(parse("S(3000)"))._ints) <= VIEW_BUDGET
+    for q in (R ** 20000, eval_expr(parse("S(20000)")), R ** 20000 - 1):
+        t0 = time.monotonic()
+        for view in (lambda: render(q, "p"), lambda: render(q, "mixed"), q.p_coeffs):
+            with pytest.raises(SizeLimitExceeded, match=f"over the view budget of {VIEW_BUDGET}"):
+                view()
+        assert time.monotonic() - t0 < 1
+    with pytest.raises(SizeLimitExceeded, match="view budget"):
+        classify(R ** 20000 - 1)  # an object, not integrable: its flags need the view
 
 
 # -- classification ----------------------------------------------------------
