@@ -10,15 +10,18 @@ a quotient row names the factors it divides by.  The pairs are merged and the
 size is read from them before any arithmetic; the product is then built on
 plain R-coefficients, each division by R^m - 1 one top-down pass that raises
 on a remainder, so a transcription slip surfaces as InternalDivisionFailed
-instead of a silently wrong polynomial.  An entry that one `_quotient` call
-builds keeps its merged factor (scale, a, pairs), from which `factorize`
-reads its cyclotomic exponents.  Parameters are checked in one place,
-against the registry's validity text, before an entry is built; a builder
-called directly outside it is refused by `_quotient`, either for a factor
-R^m - 1 with m < 1 or for a remainder.  The builders keep no results: one
-cache in `catalog_entry`, keyed by (id, params), keeps at most 1,024 built
-entries, each of at most 2^16 estimated bits, and drops the oldest first, so
-its memory stays bounded however many distinct entries are built.
+instead of a silently wrong polynomial.  The quantity that `_quotient`
+returns keeps its merged factor (scale, a, pairs), from which `factorize`
+reads its cyclotomic exponents; arithmetic on it returns plain quantities,
+so a sum such as NC or CSS keeps none.  Parameters must be integers and
+are checked in one place, against the registry's validity text, before an
+entry is built; a builder called directly outside it is refused by
+`_quotient`, either for a factor R^m - 1 with m < 1 or for a remainder.
+The builders keep no results: one cache in `catalog_entry`, keyed by (id,
+params), keeps at most 1,024 built entries, each of at most 2^16 estimated
+bits, and drops the oldest first, so its memory stays bounded however many
+distinct entries are built.  A parsed call is that key as it stands, so
+`catalog_entry` probes the cache with the id and params it is given first.
 Independent combinatorial oracles (Schubert cell enumeration and the Gaussian
 binomial recurrence) live here as well.
 """
@@ -40,6 +43,7 @@ from .quantity import (
     R,
     UsageError,
     _check_size,
+    _normal_form,
     _normalised,
 )
 
@@ -54,6 +58,16 @@ class BadParams(UsageError):
 
 class InternalDivisionFailed(InexactDivision):
     pass
+
+
+class _Product(MorphPoly):
+    """A quantity built as one factor scale * R^a * prod (R^m - 1)^k, kept as `merged`.
+
+    `merged` is (scale, a, ((m, k), ...)) with the pairs merged, set once by
+    `_quotient`.  It compares and hashes as the plain quantity of its ints.
+    """
+
+    __slots__ = ("merged",)
 
 
 def _quotient(factors, over=()) -> MorphPoly:
@@ -75,9 +89,7 @@ def _quotient(factors, over=()) -> MorphPoly:
       coefficient; with no divisors, V // (d + 1) is raised to _peak's bound.
 
     The product is built by `_times_pairs`; a division that leaves a
-    remainder raises NonZeroRemainder.  While `catalog_entry` builds, the
-    result and its merged factor (scale, a, pairs) replace the top of
-    `_PRODUCTS`.
+    remainder raises NonZeroRemainder.  The result keeps its merged factor.
     """
     scales = {-1: 1, 1: 1}  # of the divisors and of the factors
     shift = degree = width = step = 0
@@ -124,9 +136,9 @@ def _quotient(factors, over=()) -> MorphPoly:
     c = _times_pairs([scale], merged.items())
     if c is None:
         raise NonZeroRemainder("a factor R^m - 1 leaves a non-zero remainder")
-    q = _normalised([0] * shift + c, 0)
-    if _PRODUCTS:  # `catalog_entry` is building: it keeps the merged factor with the entry
-        _PRODUCTS[-1] = q, (scale, shift, tuple(merged.items()))
+    q = _Product.__new__(_Product)
+    q._ints, q._shift = _normal_form([0] * shift + c, 0)
+    q.merged = scale, shift, tuple(merged.items())
     return q
 
 
@@ -331,9 +343,6 @@ class CatalogEntry(NamedTuple):
     params: tuple
     quantity: MorphPoly
     citation: str
-    # the quantity as one factor (scale, a, ((m, k), ...)), its pairs merged by
-    # `_quotient`; None for NC and CSS, which are sums
-    merged: tuple = None
 
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
@@ -470,6 +479,7 @@ def _specs():
 
 
 _REGISTRY = {spec.id.lower(): spec for spec in _specs()}
+ENTRY_IDS = frozenset(spec.id for spec in _REGISTRY.values())
 
 
 def registry_table():
@@ -500,15 +510,23 @@ def catalog_quantity(entry_id: str, params) -> MorphPoly:
 _CACHED_BITS = SIZE_BUDGET >> 6
 _CACHED_ENTRIES = 1024
 _ENTRIES = {}
-# One slot per `catalog_entry` build in progress, for the (quantity, merged
-# factor) of the last `_quotient` call; empty at any other time.  A row that is
-# one product returns that quantity itself, so `is` tells it from a sum.
-_PRODUCTS = []
 
 
 def catalog_entry(entry_id: str, params) -> CatalogEntry:
+    try:  # a parsed call is the cache's exact key: (id, tuple of ints)
+        entry = _ENTRIES.get((entry_id, params))
+    except TypeError:  # unhashable params
+        entry = None
+    if entry is not None:
+        return entry
     spec = lookup(entry_id)
-    params = tuple(map(int, params))
+    given = list(params)
+    try:  # each param converts with int() and, unless a str, equals its int
+        params = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        params = None
+    if params is None or any(i != p for i, p in zip(params, given) if not isinstance(p, str)):
+        raise BadParams(f"{spec.id}({spec.arity}) needs integer parameters; got {given}")
     key = spec.id, params
     entry = _ENTRIES.get(key)
     if entry is not None:
@@ -517,17 +535,13 @@ def catalog_entry(entry_id: str, params) -> CatalogEntry:
         raise BadParams(
             f"{spec.id}({spec.arity}) needs {spec.validity}; got {list(params)}"
         )
-    _PRODUCTS.append(None)
     try:
         q = spec.build(*params)
     except NonZeroRemainder as exc:
         raise InternalDivisionFailed(
             f"{spec.id}{list(params)}: internal exact division failed: {exc}"
         ) from exc
-    finally:
-        last = _PRODUCTS.pop()
-    merged = last[1] if last is not None and last[0] is q else None
-    entry = CatalogEntry(spec.id, params, q, spec.citation, merged)
+    entry = CatalogEntry(spec.id, params, q, spec.citation)
     ints = q._ints
     if (len(ints) * 65 <= _CACHED_BITS  # else over the bound at any coefficient size
             and len(ints) * (max(map(abs, ints), default=0).bit_length() + 64) <= _CACHED_BITS):

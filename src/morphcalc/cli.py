@@ -21,8 +21,8 @@ from types import SimpleNamespace
 from . import corpus as corpus_mod
 from . import factorize
 from . import stability
-from .catalog import catalog_entry, lookup, registry_table
-from .lang import CatalogCall, eval_expr, parse
+from .catalog import lookup, registry_table
+from .lang import eval_expr, parse
 from .quantity import (
     BASES, MorphError, MorphPoly, UsageError, classify, dimension, div_exact, euler, render)
 
@@ -54,12 +54,7 @@ def _classification(args):
 
 
 def _factors(args):
-    tree = parse(args.expr)
-    if isinstance(tree, CatalogCall):  # built as `eval_expr` builds it, with its merged pairs
-        entry = catalog_entry(tree.id, tree.params)
-        result = factorize.factor_into_catalog(entry.quantity, entry.merged)
-    else:
-        result = factorize.factor_into_catalog(eval_expr(tree))
+    result = factorize.factor_into_catalog(_eval_source(args.expr))
     return (f"factors: {' * '.join(f.display() for f in result.factors) or '1'}\n"
             f"residual: {render(result.residual, 'r')}")
 

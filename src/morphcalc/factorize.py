@@ -23,12 +23,12 @@ smallest, become odd RPs in its place, and the rest stay RP(1).  This
 deterministic order reproduces all the worked Grassmannian tables.
 
 The exponents come from one of two sources, and the cover above runs
-unchanged on either.  A catalog product scale * R^a * prod (R^m - 1)^k,
-given with the pairs it was built from (`CatalogEntry.merged`), has
-e_d = the sum of the k over the m that d divides, with no arithmetic on
-the input.  Any other input, or pairs that give some e_d < 0, is read by
-fold tests on plain int lists, without building any Phi_d: dividing by
-Phi_d is multiplying by prod (R^m - 1)^-mu(d/m), which
+unchanged on either.  A catalog product scale * R^a * prod (R^m - 1)^k
+keeps the pairs it was built from (its `merged` factor), and has e_d = the
+sum of the k over the m that d divides, with no arithmetic on the input;
+every e_d >= 0, since the product was built as a polynomial.  Any other
+input is read by fold tests on plain int lists, without building any Phi_d:
+dividing by Phi_d is multiplying by prod (R^m - 1)^-mu(d/m), which
 `catalog._times_pairs` does in one pass per factor.  Phi_d divides R^d - 1,
 so the input's remainder by Phi_d is that of its fold modulo R^d - 1, its
 d-long slices added up.  That fold (degree < d) is divided by Phi_d first,
@@ -59,7 +59,6 @@ from .catalog import (
     _projective,
     _quotient,
     _times_pairs,
-    catalog_entry,
     catalog_quantity,
     grassmannian,
     phantom,
@@ -162,13 +161,10 @@ def _pair_exponents(merged, top):
     """Exponents {d: e_d}, 1 < d <= top, of scale * R^a * prod (R^m - 1)^k, and the ints left.
 
     The ints left are scale times Phi_1 and the Phi_d above top to their
-    exponents, as `_cyclotomic_exponents` leaves them.  None when some e_d is
-    negative, so that the fold tests decide.
+    exponents, as `_cyclotomic_exponents` leaves them.
     """
     scale, _, pairs = merged
     exponents = _summed_exponents(pairs)
-    if min(exponents.values(), default=0) < 0:
-        return None
     left = Counter()  # pairs (m, k) of the Phi_d that stay in the ints left
     for d in [d for d in exponents if not 1 < d <= top]:
         e = exponents.pop(d)
@@ -226,12 +222,11 @@ def _candidates(top: int):
                build, _exponents(_phantom(2, m)[2]))
 
 
-def factor_into_catalog(q: MorphPoly, merged=None) -> FactorizationResult:
+def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
     """Greedy extraction of the candidates; leftover is the residual.
 
-    `merged` is the factor (scale, a, pairs) that q was built as, such as
-    `CatalogEntry.merged`; its pairs give the exponents.  Without it, or when
-    its exponents are not those of a polynomial, fold tests read them.
+    A catalog product's own pairs give the exponents; fold tests read any
+    other quantity's.
     """
     if not q._ints or q._shift or q._ints[-1] < 1:  # not of integer type, see `classify`
         raise NotIntegerType(f"{render(q, 'r')} is not of integer type")
@@ -242,8 +237,9 @@ def factor_into_catalog(q: MorphPoly, merged=None) -> FactorizationResult:
 
     # no candidate that fits tops above Phi_(3 * degree), the top of a phantom plane of that degree
     top = 3 * (len(q._ints) - 1 - low)
-    read = _pair_exponents(merged, top) if merged else None
-    exponents, rest = read or _cyclotomic_exponents(q._ints[low:], range(2, top + 1))
+    merged = getattr(q, "merged", None)
+    exponents, rest = (_pair_exponents(merged, top) if merged else
+                       _cyclotomic_exponents(q._ints[low:], range(2, top + 1)))
     current = _normalised(rest, 0)
 
     last_cp = None
@@ -348,8 +344,7 @@ def periodicity_scan(k: int, n_range) -> PeriodicityReport:
     entries = []
     sigs = {}
     for n in range(lo, hi + 1):
-        entry = catalog_entry("G", (n, k))
-        result = factor_into_catalog(entry.quantity, entry.merged)
+        result = factor_into_catalog(catalog_quantity("G", (n, k)))
         sig = _signature(result, n)
         sigs[n] = sig
         entries.append((n, sig, result.display()))

@@ -20,8 +20,7 @@ from collections import namedtuple
 from functools import reduce
 from operator import add, mul
 
-from . import catalog
-from .catalog import _REGISTRY, catalog_quantity
+from .catalog import ENTRY_IDS, catalog_quantity
 from .quantity import MorphError, MorphPoly, P, R, UsageError, div_exact
 
 
@@ -186,7 +185,7 @@ class _Parser:
         return node
 
     def catalog_call(self, name, pos):
-        if name.lower() not in _REGISTRY or _REGISTRY[name.lower()].id != name:
+        if name not in ENTRY_IDS:
             raise UnknownName(name, pos)
         self.index += 1  # the "(" that made this a call
         params = [_nat(self.expect("NAT"))]
@@ -261,11 +260,7 @@ def _eval(e: Expr) -> MorphPoly:
         if isinstance(e, Sym):
             return _SYMBOLS[e.name]
         if isinstance(e, CatalogCall):
-            try:  # a parsed call is the cache's exact key: (id, tuple of ints)
-                entry = catalog._ENTRIES.get(e[:2])
-            except TypeError:  # unhashable params, which catalog_quantity reports
-                entry = None
-            return entry.quantity if entry is not None else catalog_quantity(e.id, e.params)
+            return catalog_quantity(e.id, e.params)
         if isinstance(e, Add):
             return reduce(add, map(_eval, e.items))
         if isinstance(e, Sub):

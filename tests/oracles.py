@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from morphcalc.catalog import _REGISTRY
+from morphcalc.catalog import ENTRY_IDS
 from morphcalc.lang import (
     Add,
     Bracket,
@@ -218,7 +218,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
     def catalog_call(self, name, pos):
-        if name.lower() not in _REGISTRY or _REGISTRY[name.lower()].id != name:
+        if name not in ENTRY_IDS:
             raise UnknownName(name, pos)
         self.expect("(")
         params = [_nat(self.expect("NAT"))]

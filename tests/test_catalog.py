@@ -1,6 +1,9 @@
 import inspect
+import pickle
 import time
 import tracemalloc
+from copy import deepcopy
+from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise, product
 from math import prod
@@ -33,6 +36,7 @@ from morphcalc.lang import eval_expr, parse
 from morphcalc.quantity import (
     MorphPoly,
     NonZeroRemainder,
+    _normalised,
     classify,
     dimension,
     div_exact,
@@ -434,16 +438,28 @@ def test_a_product_entry_keeps_the_factor_it_was_built_as(monkeypatch):
         arity = 3 if spec.id == "Flag" else len(spec.arity.split(","))
         for ps in product(range(7), repeat=arity):
             if spec.check(ps):
-                entry = catalog_entry(spec.id, ps)
-                assert (entry.merged is None) == (spec.id in ("NC", "CSS")), (spec.id, ps)
-                if entry.merged is not None:
-                    assert _quotient([entry.merged]) == entry.quantity, (spec.id, ps)
+                q = catalog_quantity(spec.id, ps)
+                merged = getattr(q, "merged", None)
+                assert (merged is None) == (spec.id in ("NC", "CSS")), (spec.id, ps)
+                if merged is not None:
+                    assert _quotient([merged]) == q, (spec.id, ps)
     slip = lookup("S")._replace(build=lambda n: _quotient([(1, 0, ((n, 1), (2, -1)))]))
     monkeypatch.setitem(_REGISTRY, "s", slip)
     monkeypatch.setattr(catalog, "_ENTRIES", {})
     with pytest.raises(InternalDivisionFailed):
         catalog_entry("S", [3])
-    assert catalog._PRODUCTS == []  # a slot lives only while its build runs
+
+
+def test_a_product_quantity_is_a_plain_quantity_that_keeps_its_pairs():
+    q = catalog_quantity("S", (3,))
+    plain = _normalised(q._ints, q._shift)
+    assert q.merged == (2, 0, ((1, -1), (4, 1)))
+    assert not hasattr(plain, "merged")
+    assert q == plain and plain == q and hash(q) == hash(plain) and len({q, plain}) == 1
+    for made in (R * q, q + 0, q * q):  # arithmetic returns plain quantities
+        assert not hasattr(made, "merged")
+    for kept in [deepcopy(q)] + [pickle.loads(pickle.dumps(q, p)) for p in range(2, 6)]:
+        assert kept == q and kept.merged == q.merged
 
 
 def test_large_builds_are_fast_and_exact():
@@ -653,6 +669,21 @@ def test_an_entry_is_read_under_any_spelling_of_its_key(entry_id, params, key):
 ])
 def test_a_refused_spelling_keeps_its_message(entry_id, params, error, message):
     with pytest.raises(error) as refused:
+        catalog_entry(entry_id, params)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("entry_id, params, message", [
+    ("S", (3.5,), "S(n) needs integer parameters; got [3.5]"),
+    ("g", (7.9, 3.2), "G(n,k) needs integer parameters; got [7.9, 3.2]"),
+    ("S", ["x"], "S(n) needs integer parameters; got ['x']"),
+    ("S", [None], "S(n) needs integer parameters; got [None]"),
+    ("S", [float("inf")], "S(n) needs integer parameters; got [inf]"),
+    ("S", [float("nan")], "S(n) needs integer parameters; got [nan]"),
+    ("RP", [Fraction(7, 2)], "RP(n) needs integer parameters; got [Fraction(7, 2)]"),
+])
+def test_a_parameter_that_is_not_an_integer_is_bad_params(entry_id, params, message):
+    with pytest.raises(BadParams) as refused:
         catalog_entry(entry_id, params)
     assert str(refused.value) == message
 

@@ -659,6 +659,7 @@ _NO_FLAGS = ("is_object=no integrable=no semi_integrable=no integer_type=no "
     (("eval", "S(60000)/S(30000)"), 3, "", "inexact division: non-zero remainder of degree 29999\n"),
     (("eval", "S(20000)", "--form", "mixed"), 4, "", "precondition violated: the halfline form "
      "would hold about 800380017 bits, over the view budget of 33554432\n"),
+    (("factor", "(S(20000))"), 0, "factors: RP(20000)\nresidual: 2\n", ""),
 ])
 def test_large_inputs_answer_within_a_deadline(argv, code, out, err):
     t0 = time.monotonic()

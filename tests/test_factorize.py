@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from morphcalc import factorize
 from morphcalc.catalog import (
     BadParams,
-    catalog_entry,
+    catalog_quantity,
     gaussian_binomial,
     grassmannian,
     lookup,
@@ -458,12 +458,17 @@ def _product_calls():
                     yield entry_id, params
 
 
-def _both_sources(entry):
-    """The exponents and the ints left, read from the entry's pairs and by fold tests."""
-    q, low = entry.quantity, entry.merged[1]
+def _plain(q):
+    """q as a plain quantity, which keeps no pairs, so that fold tests read its exponents."""
+    return _normalised(q._ints, q._shift)
+
+
+def _both_sources(q):
+    """The exponents and the ints left, read from the product's pairs and by fold tests."""
+    low = q.merged[1]
     top = 3 * (len(q._ints) - 1 - low)
     return [(exponents, _normalised(rest, 0)) for exponents, rest in (
-        _pair_exponents(entry.merged, top),
+        _pair_exponents(q.merged, top),
         _cyclotomic_exponents(q._ints[low:], range(2, top + 1)))]
 
 
@@ -471,30 +476,37 @@ def test_both_exponent_sources_agree_on_every_catalog_product():
     calls = list(_product_calls())
     assert len(calls) == 1452
     for call in calls:
-        entry = catalog_entry(*call)
-        from_pairs, by_folds = _both_sources(entry)
+        q = catalog_quantity(*call)
+        from_pairs, by_folds = _both_sources(q)
         assert from_pairs == by_folds, call
-        assert (factor_into_catalog(entry.quantity, entry.merged)
-                == factor_into_catalog(entry.quantity)), call
+        assert factor_into_catalog(q) == factor_into_catalog(_plain(q)), call
+
+
+def test_no_catalog_product_has_a_negative_cyclotomic_exponent():
+    # e_d of prod (R^m - 1)^k sums the k over the m that d divides
+    for call in _product_calls():
+        pairs = catalog_quantity(*call).merged[2]
+        for d in range(1, max((m for m, _ in pairs), default=0) + 1):
+            assert sum(k for m, k in pairs if m % d == 0) >= 0, (call, d)
 
 
 @pytest.mark.parametrize("call", [
     ("S", (4000,)), ("G", (200, 5)), ("G", (40, 20)), ("G", (18, 5)), ("RPh", (4,))])
 def test_both_exponent_sources_agree_on_large_and_named_calls(call):
-    entry = catalog_entry(*call)
+    q = catalog_quantity(*call)
     t0 = time.monotonic()
-    result = factor_into_catalog(entry.quantity, entry.merged)
+    result = factor_into_catalog(q)
     assert time.monotonic() - t0 < 0.5
-    assert result == factor_into_catalog(entry.quantity)
+    assert result == factor_into_catalog(_plain(q))
     if call == ("S", (4000,)):
         assert result.display() == "RP(4000)  [residual: 2]"
 
 
-def test_pairs_that_make_no_polynomial_leave_the_exponents_to_the_fold_tests():
-    not_a_polynomial = (1, 0, ((2, 1), (4, -1)))  # (R^2 - 1)/(R^4 - 1): e_4 = -1
-    assert _pair_exponents(not_a_polynomial, 12) is None
-    q = sphere(5)
-    assert factor_into_catalog(q, not_a_polynomial) == factor_into_catalog(q)
+def test_a_builder_result_is_factored_from_its_pairs():
+    q = sphere(4000)
+    t0 = time.monotonic()
+    assert factor_into_catalog(q).display() == "RP(4000)  [residual: 2]"
+    assert time.monotonic() - t0 < 0.5
 
 
 def _fold_calls(monkeypatch):
@@ -508,7 +520,7 @@ def _fold_calls(monkeypatch):
 @pytest.mark.parametrize("expr,folds", [
     ("G(6,3)", False), ("S(40)", False), ("Flag(7,2,4)", False),
     ("NC(5)", True), ("CSS(3)", True), ("G(6,3) + 1", True), ("S(3)*S(4)", True),
-    ("R^3000 - 1", True),
+    ("R^3000 - 1", True), ("(G(6,3))", False), ("S(3)^1", False), ("R*G(6,3)", True),
 ])
 def test_the_cli_factors_a_lone_catalog_call_from_its_pairs(monkeypatch, capsys, expr, folds):
     fold_calls = _fold_calls(monkeypatch)
