@@ -13,8 +13,8 @@ on a remainder, so a transcription slip surfaces as InternalDivisionFailed
 instead of a silently wrong polynomial.  The quantity that `_quotient`
 returns keeps its merged factor (scale, a, pairs), from which `factorize`
 reads its cyclotomic exponents; arithmetic on it returns plain quantities,
-so a sum such as NC or CSS keeps none.  Parameters must be integers and
-are checked in one place, against the registry's validity text, before an
+so a sum such as NC or CSS keeps none.  Parameters are a list of integers
+and are checked in one place, against the registry's validity text, before an
 entry is built; a builder called directly outside it is refused by
 `_quotient`, either for a factor R^m - 1 with m < 1 or for a remainder.
 The builders keep no results: one cache in `catalog_entry`, keyed by (id,
@@ -520,13 +520,16 @@ def catalog_entry(entry_id: str, params) -> CatalogEntry:
     if entry is not None:
         return entry
     spec = lookup(entry_id)
-    given = list(params)
-    try:  # each param converts with int() and, unless a str, equals its int
+    given = params
+    try:  # a list of params, each converting with int() and, unless a str, equal to its int
+        if isinstance(given, (str, bytes, bytearray)):  # iterable, but one value, not a list
+            raise TypeError
+        given = list(given)
         params = tuple(map(int, given))
     except (TypeError, ValueError, OverflowError):
         params = None
     if params is None or any(i != p for i, p in zip(params, given) if not isinstance(p, str)):
-        raise BadParams(f"{spec.id}({spec.arity}) needs integer parameters; got {given}")
+        raise BadParams(f"{spec.id}({spec.arity}) needs integer parameters; got {given!r}")
     key = spec.id, params
     entry = _ENTRIES.get(key)
     if entry is not None:

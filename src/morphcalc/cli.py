@@ -6,14 +6,16 @@ Exit codes: 0 success (or all records pass), 1 verification failures,
 over the size budget).  Each error class states its own code and the prefix
 of its message (`MorphError.exit_status` and `.kind`), so every failure, in
 `run` as in the REPL, is one report `kind: message` on stderr (`_report`), and
-the REPL reads on.  Each command is one row of `_COMMANDS`: its name, help
-text, arguments and handler.  A plain command line is read straight from its
-row (`_read_plain`); argparse reads help requests, usage errors and every other
-spelling, with the same output as before, and is imported only then.
+the REPL reads on.  A reader that closes stdout early changes neither stderr
+nor the exit status (`_print`).  Each command is one row of `_COMMANDS`: its
+name, help text, arguments and handler.  A plain command line is read straight
+from its row (`_read_plain`); argparse reads help requests, usage errors and
+every other spelling, with the same output as before, and is imported only then.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import cache
 from types import SimpleNamespace
@@ -36,11 +38,23 @@ def _eval_source(source: str) -> MorphPoly:
     return eval_expr(parse(source))
 
 
+def _print(text, out, end="\n"):
+    """Print text to out and flush it; a reader that closed out early is no error.
+
+    The closed pipe's descriptor then points at os.devnull, as Python's `signal`
+    docs advise, so nothing left in the buffer fails again at exit.
+    """
+    try:
+        print(text, file=out, end=end, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+
+
 def _printing(value_of):
     """The handler that prints value_of(args) and exits 0."""
 
     def handler(args, out):
-        print(value_of(args), file=out)
+        _print(value_of(args), out)
         return 0
 
     return handler
@@ -67,10 +81,13 @@ def _audit(args):
 
 
 def _cmd_verify(args, out):
-    with open(args.file, "rb") as handle:
-        records = corpus_mod.load_corpus(handle)
+    try:
+        with open(args.file, "rb") as handle:
+            records = corpus_mod.load_corpus(handle)
+    except OSError as exc:
+        raise UsageError(exc) from exc
     report = corpus_mod.verify_corpus(records)
-    print(report.to_json() if args.json else report.to_text(), file=out)
+    _print(report.to_json() if args.json else report.to_text(), out)
     return report.exit_status
 
 
@@ -94,7 +111,7 @@ def _report(exc: MorphError) -> int:
 
 def _cmd_repl(args, out):
     form = "r"
-    print("morphcalc repl; :help for commands", file=out)
+    _print("morphcalc repl; :help for commands", out)
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
@@ -102,18 +119,18 @@ def _cmd_repl(args, out):
         if line == ":quit":
             break
         if line == ":help":
-            print(f":quit  {_FORM_USAGE}  :help", file=out)
+            _print(f":quit  {_FORM_USAGE}  :help", out)
             continue
         if line.startswith(":form"):
             parts = line.split()
             if len(parts) == 2 and parts[1] in BASES:
                 form = parts[1]
-                print(f"form set to {form}", file=out)
+                _print(f"form set to {form}", out)
             else:
                 print(f"usage: {_FORM_USAGE}", file=sys.stderr)
             continue
         try:
-            print(render(_eval_source(line), form), file=out)
+            _print(render(_eval_source(line), form), out)
         except MorphError as exc:
             _report(exc)
     return 0
@@ -247,6 +264,7 @@ def run(argv, out=None) -> int:
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
+            _print("", sys.stdout, end="")  # the help text argparse left in the buffer
             return 0 if exc.code in (0, None) else UsageError.exit_status
     limit = _get_digit_limit()
     _set_digit_limit(0)  # an exact result prints every digit; the caller's limit comes back
@@ -254,8 +272,6 @@ def run(argv, out=None) -> int:
         return args.handler(args, out)
     except MorphError as exc:
         return _report(exc)
-    except OSError as exc:
-        return _report(UsageError(exc))
     finally:
         _set_digit_limit(limit)
 

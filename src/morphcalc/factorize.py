@@ -22,26 +22,29 @@ clear at the end.  So up to that many copies of the last CP found, the
 smallest, become odd RPs in its place, and the rest stay RP(1).  This
 deterministic order reproduces all the worked Grassmannian tables.
 
-The exponents come from one of two sources, and the cover above runs
-unchanged on either.  A catalog product scale * R^a * prod (R^m - 1)^k
+The exponents {d: e_d} come from one of two sources, and the cover above
+runs unchanged on either.  A catalog product scale * R^a * prod (R^m - 1)^k
 keeps the pairs it was built from (its `merged` factor), and has e_d = the
 sum of the k over the m that d divides, with no arithmetic on the input;
-every e_d >= 0, since the product was built as a polynomial.  Any other
+every e_d >= 0, since the product was built as a polynomial.  Nothing is cut
+from them: a candidate that fits divides the input, so its degree is at most
+the input's, and its top index is at most three times its degree.  Any other
 input is read by fold tests on plain int lists, without building any Phi_d:
 dividing by Phi_d is multiplying by prod (R^m - 1)^-mu(d/m), which
 `catalog._times_pairs` does in one pass per factor.  Phi_d divides R^d - 1,
 so the input's remainder by Phi_d is that of its fold modulo R^d - 1, its
 d-long slices added up.  That fold (degree < d) is divided by Phi_d first,
 and the whole input only when the fold leaves no remainder, so no division
-of the input fails.  The fold tests cost the square of the degree; the pairs
-cost their divisors.  Either way Phi_1 and the Phi_d above three times the
-degree stay in the residual.
+of the input fails.  The fold tests cost the square of the degree and leave
+Phi_1 and the Phi_d above three times the degree in the ints left; the pairs
+cost their divisors and leave only the scale.  The residual is those ints
+times the Phi_d the cover leaves, one `_times_pairs` pass over their pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import isqrt, prod
 from operator import add
 from typing import NamedTuple
@@ -61,8 +64,6 @@ from .catalog import (
     _times_pairs,
     catalog_quantity,
     grassmannian,
-    phantom,
-    projective,
 )
 
 
@@ -138,39 +139,29 @@ def _over_cyclotomic(d: int):
     return pairs, -sum(m * k for m, k in pairs)
 
 
-def _cyclotomic(d: int) -> MorphPoly:
-    """Phi_d = prod (R^m - 1)^mu(d/m) over the divisors m of d."""
-    return _quotient((), over=[(1, 0, _over_cyclotomic(d)[0])])
-
-
 def _summed_exponents(pairs) -> Counter:
-    """{d: e_d} of prod (R^m - 1)^k over the (m, k) pairs: e_d adds up the k of the m d divides."""
+    """The non-zero {d: e_d} of prod (R^m - 1)^k over the (m, k) pairs.
+
+    e_d adds up the k of the m that d divides.
+    """
     exponents = Counter()
     for m, k in pairs:
         exponents.update(dict.fromkeys(_divisors(m), k))
-    return exponents
+    return +exponents
 
 
-@lru_cache(maxsize=None)
-def _exponents(pairs) -> Counter:
-    """The non-zero {d: e_d} of a candidate's pairs; shared, so never mutated."""
-    return +_summed_exponents(pairs)
+_exponents = lru_cache(maxsize=None)(_summed_exponents)  # a candidate's, shared, so never mutated
 
 
-def _pair_exponents(merged, top):
-    """Exponents {d: e_d}, 1 < d <= top, of scale * R^a * prod (R^m - 1)^k, and the ints left.
+def _times_cyclotomic(c, exponents):
+    """c * prod Phi_d^e over the {d: e} exponents, on R-coefficients.
 
-    The ints left are scale times Phi_1 and the Phi_d above top to their
-    exponents, as `_cyclotomic_exponents` leaves them.
+    Phi_d^e is prod (R^m - 1)^(-k*e) over the pairs (m, k) that divide by Phi_d.
     """
-    scale, _, pairs = merged
-    exponents = _summed_exponents(pairs)
-    left = Counter()  # pairs (m, k) of the Phi_d that stay in the ints left
-    for d in [d for d in exponents if not 1 < d <= top]:
-        e = exponents.pop(d)
-        for m, k in _over_cyclotomic(d)[0]:
-            left[m] -= k * e
-    return +exponents, _times_pairs([scale], left.items())
+    pairs = Counter()
+    for d, e in exponents.items():
+        pairs.update({m: -k * e for m, k in _over_cyclotomic(d)[0]})
+    return _times_pairs(c, pairs.items())
 
 
 def _cyclotomic_exponents(c, ds):
@@ -193,12 +184,11 @@ def _cyclotomic_exponents(c, ds):
 
 
 def _candidates(top: int):
-    """The candidates (key, family, name, params, build, exponents) whose top Phi_d is Phi_top.
+    """The candidates (key, family, name, params, block) whose top Phi_d is Phi_top.
 
-    projective(n, step) tops at d = step*(n + 1) and phantom(2, m) at d = 6m.
-    `build()` makes the polynomial, through the catalog's cache when the
-    candidate has a name; the key (-degree, family rank, step) orders the
-    greedy scan.
+    projective(n, step) tops at d = step*(n + 1) and phantom(2, m) at d = 6m;
+    the block is its (scale, a, pairs) factor.  The key (-degree, family rank,
+    step) orders the greedy scan.
     """
     for step in _divisors(top)[:-1]:  # n >= 1
         n = top // step - 1
@@ -211,15 +201,12 @@ def _candidates(top: int):
             family, name, params = "hopf", None, (n, step)
         else:
             continue
-        build = partial(catalog_quantity, name, params) if name else partial(projective, n, step)
-        yield ((-n * step, _FAMILY_RANK[family], step), family, name, params,
-               build, _exponents(_projective(n, step)[2]))
+        yield (-n * step, _FAMILY_RANK[family], step), family, name, params, _projective(n, step)
     if top % 6 == 0:
         m = top // 6
         name = {1: "RPh", 2: "CPh", 4: "HPh"}.get(m)
-        build = partial(catalog_quantity, name, (2,)) if name else partial(phantom, 2, m)
         yield ((-2 * m, _FAMILY_RANK["Ph"], m), "Ph", name, (2,) if name else (m,),
-               build, _exponents(_phantom(2, m)[2]))
+               _phantom(2, m))
 
 
 def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
@@ -235,27 +222,28 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
     low = next(i for i, c in enumerate(q._ints) if c)
     factors = [Factor("R", None, (), R, low)]
 
-    # no candidate that fits tops above Phi_(3 * degree), the top of a phantom plane of that degree
-    top = 3 * (len(q._ints) - 1 - low)
     merged = getattr(q, "merged", None)
-    exponents, rest = (_pair_exponents(merged, top) if merged else
-                       _cyclotomic_exponents(q._ints[low:], range(2, top + 1)))
-    current = _normalised(rest, 0)
+    if merged:
+        exponents, rest = _summed_exponents(merged[2]), [merged[0]]
+    else:
+        # no candidate that fits tops above Phi_(3 * degree), a phantom plane's top at that degree
+        top = 3 * (len(q._ints) - 1 - low)
+        exponents, rest = _cyclotomic_exponents(q._ints[low:], range(2, top + 1))
 
-    last_cp = None
-    candidates = sorted(c for top in exponents for c in _candidates(top))
-    for _, family, name, params, build, need in candidates:
+    for _, family, name, params, block in sorted(c for top in exponents for c in _candidates(top)):
+        need = _exponents(block[2])
         times = min(exponents[d] // e for d, e in need.items())
         if times:
             exponents.subtract({d: e * times for d, e in need.items()})
-            last_cp = len(factors) if family == "CP" else last_cp
-            factors.append(Factor(family, name, params, build(), times))
+            poly = catalog_quantity(name, params) if name else _quotient([block])
+            factors.append(Factor(family, name, params, poly, times))
 
     # trailing halfline circles: RP^1 = R + 1; the other leftovers join the residual
     spare = exponents.pop(2, 0)
-    current = current * prod(_cyclotomic(d) ** e for d, e in exponents.items() if e)
+    residual = _normalised(_times_cyclotomic(rest, exponents), 0)
 
     # up to `spare` copies of the last CP found, the smallest, become RP(2m + 1) in its place
+    last_cp = max((i for i, f in enumerate(factors) if f.family == "CP"), default=None)
     if spare and last_cp is not None:
         cp = factors[last_cp]
         odd = min(spare, cp.multiplicity)
@@ -267,7 +255,7 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
         spare -= odd
     if spare:
         factors.append(Factor("RP", "RP", (1,), catalog_quantity("RP", (1,)), spare))
-    return FactorizationResult(tuple(f for f in factors if f.multiplicity), current)
+    return FactorizationResult(tuple(f for f in factors if f.multiplicity), residual)
 
 
 # -- periodicity of the real Grassmann factorizations ----------------------

@@ -653,6 +653,8 @@ def test_an_entry_is_cached_under_its_int_params(monkeypatch):
     ("S", (3.0,), ("S", (3,))),
     ("RP", (True,), ("RP", (1,))),
     ("g", [7.0, True], ("G", (7, 1))),
+    ("S", ("5",), ("S", (5,))),
+    ("S", [3.0], ("S", (3,))),
 ])
 def test_an_entry_is_read_under_any_spelling_of_its_key(entry_id, params, key):
     for _ in range(2):  # built, then from the cache
@@ -681,11 +683,18 @@ def test_a_refused_spelling_keeps_its_message(entry_id, params, error, message):
     ("S", [float("inf")], "S(n) needs integer parameters; got [inf]"),
     ("S", [float("nan")], "S(n) needs integer parameters; got [nan]"),
     ("RP", [Fraction(7, 2)], "RP(n) needs integer parameters; got [Fraction(7, 2)]"),
+    # params that are one value, not a list of them; a str or bytes iterates, but is refused
+    ("G", "63", "G(n,k) needs integer parameters; got '63'"),
+    ("S", b"5", "S(n) needs integer parameters; got b'5'"),
+    ("S", bytearray(b"5"), "S(n) needs integer parameters; got bytearray(b'5')"),
+    ("S", 3, "S(n) needs integer parameters; got 3"),
+    ("S", None, "S(n) needs integer parameters; got None"),
 ])
 def test_a_parameter_that_is_not_an_integer_is_bad_params(entry_id, params, message):
-    with pytest.raises(BadParams) as refused:
-        catalog_entry(entry_id, params)
-    assert str(refused.value) == message
+    for read in (catalog_entry, catalog_quantity):
+        with pytest.raises(BadParams) as refused:
+            read(entry_id, params)
+        assert str(refused.value) == message
 
 
 def test_the_cache_keeps_at_most_its_count_bound_oldest_dropped_first(monkeypatch):

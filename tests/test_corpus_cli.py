@@ -530,6 +530,34 @@ def _run_process(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv,code", [
+    (["factor", "S(20000)"], 0),
+    (["eval", "7^6000"], 0),  # over one buffer, so the handler's own write fails
+    (["verify", "{corpus}"], 1),
+    (["verify", "{corpus}", "--json"], 1),
+    (["repl"], 0),
+    (["--help"], 0),
+])
+def test_a_reader_that_closed_stdout_changes_neither_stderr_nor_the_status(
+        tmp_path, argv, code, unbuffered):
+    # the read end is closed before the command starts, so its first write to stdout fails,
+    # in the handler when unbuffered or over one buffer, else in the flush at exit
+    corpus = tmp_path / "two.morph"
+    corpus.write_text("good ; S(3) ; == ; SS(2)*S(1) ; hopf\nwrong ; R ; == ; R + 1 ; off\n")
+    src = str(Path(morphcalc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "morphcalc.cli", *(a.format(corpus=corpus) for a in argv)],
+            input="R + 1\n", stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, "")
+
+
 def test_importing_the_command_line_loads_no_code_generator():
     # dataclasses generates each record's methods by exec at import, and imports
     # inspect; argparse (with gettext), json and importlib.resources are loaded

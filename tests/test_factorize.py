@@ -6,7 +6,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphcalc import factorize
+from morphcalc import catalog, factorize
 from morphcalc.catalog import (
     BadParams,
     catalog_quantity,
@@ -27,9 +27,9 @@ from morphcalc.factorize import (
     FactorizationResult,
     NotIntegerType,
     _candidates,
-    _cyclotomic,
     _cyclotomic_exponents,
-    _pair_exponents,
+    _summed_exponents,
+    _times_cyclotomic,
     factor_into_catalog,
     grassmann_divide,
     periodicity_scan,
@@ -326,8 +326,8 @@ def _reference_factor(q):
 def test_each_candidate_factors_to_itself():
     # every candidate of degree <= 30 tops at a cyclotomic index <= 90
     for top in range(2, 91):
-        for _, family, name, params, build, _ in _candidates(top):
-            poly = build()
+        for _, family, name, params, block in _candidates(top):
+            poly = catalog._quotient([block])
             result = factor_into_catalog(poly)
             assert result.residual == 1, (family, params)
             [factor] = result.factors
@@ -359,8 +359,8 @@ def test_cyclotomic_matches_the_recursive_quotient():
     for d in range(1, 61):
         rest = [below[m] for m in below if d % m == 0]
         below[d] = div_exact(R ** d - 1, prod(rest, start=MorphPoly.constant(1)))
-        assert _cyclotomic(d) == below[d], d
-    assert _cyclotomic(10) == PHI10
+        assert _normalised(_times_cyclotomic([1], {d: 1}), 0) == below[d], d
+    assert _normalised(_times_cyclotomic([1], {10: 1}), 0) == PHI10
 
 
 @pytest.mark.parametrize("q,factors,residual", [
@@ -464,12 +464,18 @@ def _plain(q):
 
 
 def _both_sources(q):
-    """The exponents and the ints left, read from the product's pairs and by fold tests."""
-    low = q.merged[1]
+    """The exponents and the ints left, read from the product's pairs and by fold tests.
+
+    Fold tests read 1 < d <= 3 * degree and leave the other Phi_d in the ints
+    left, so the pairs' exponents outside that range go there, times the scale.
+    """
+    scale, low, pairs = q.merged
     top = 3 * (len(q._ints) - 1 - low)
-    return [(exponents, _normalised(rest, 0)) for exponents, rest in (
-        _pair_exponents(q.merged, top),
-        _cyclotomic_exponents(q._ints[low:], range(2, top + 1)))]
+    exponents = _summed_exponents(pairs)
+    left = {d: exponents.pop(d) for d in list(exponents) if not 1 < d <= top}
+    folded, rest = _cyclotomic_exponents(q._ints[low:], range(2, top + 1))
+    return [(exponents, _normalised(_times_cyclotomic([scale], left), 0)),
+            (folded, _normalised(rest, 0))]
 
 
 def test_both_exponent_sources_agree_on_every_catalog_product():
