@@ -7,7 +7,8 @@ over the size budget).  Each error class states its own code and the prefix
 of its message (`MorphError.exit_status` and `.kind`), so every failure, in
 `run` as in the REPL, is one report `kind: message` on stderr (`_report`), and
 the REPL reads on.  A reader that closes stdout early changes neither stderr
-nor the exit status (`_print`).  Each command is one row of `_COMMANDS`: its
+nor the exit status (`_print`), and the REPL stops reading
+then.  Each command is one row of `_COMMANDS`: its
 name, help text, arguments and handler.  A plain command line is read straight
 from its row (`_read_plain`); argparse reads help requests, usage errors and
 every other spelling, with the same output as before, and is imported only then.
@@ -39,7 +40,7 @@ def _eval_source(source: str) -> MorphPoly:
 
 
 def _print(text, out, end="\n"):
-    """Print text to out and flush it; a reader that closed out early is no error.
+    """Print text to out and flush it; False if its reader has closed out, which is no error.
 
     The closed pipe's descriptor then points at os.devnull, as Python's `signal`
     docs advise, so nothing left in the buffer fails again at exit.
@@ -48,6 +49,8 @@ def _print(text, out, end="\n"):
         print(text, file=out, end=end, flush=True)
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return False
+    return True
 
 
 def _printing(value_of):
@@ -110,8 +113,10 @@ def _report(exc: MorphError) -> int:
 
 
 def _cmd_repl(args, out):
+    """Answer stdin line by line until `:quit`, its end, or a reader that closed out."""
     form = "r"
-    _print("morphcalc repl; :help for commands", out)
+    if not _print("morphcalc repl; :help for commands", out):
+        return 0
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
@@ -119,20 +124,22 @@ def _cmd_repl(args, out):
         if line == ":quit":
             break
         if line == ":help":
-            _print(f":quit  {_FORM_USAGE}  :help", out)
-            continue
-        if line.startswith(":form"):
+            text = f":quit  {_FORM_USAGE}  :help"
+        elif line.startswith(":form"):
             parts = line.split()
-            if len(parts) == 2 and parts[1] in BASES:
-                form = parts[1]
-                _print(f"form set to {form}", out)
-            else:
+            if len(parts) != 2 or parts[1] not in BASES:
                 print(f"usage: {_FORM_USAGE}", file=sys.stderr)
-            continue
-        try:
-            _print(render(_eval_source(line), form), out)
-        except MorphError as exc:
-            _report(exc)
+                continue
+            form = parts[1]
+            text = f"form set to {form}"
+        else:
+            try:
+                text = render(_eval_source(line), form)
+            except MorphError as exc:
+                _report(exc)
+                continue
+        if not _print(text, out):
+            break
     return 0
 
 

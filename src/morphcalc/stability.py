@@ -9,6 +9,14 @@ oracle that certifies it by an explicit rewrite path.  The oracle is a
 bidirectional breadth-first search: every rewrite can be undone by the other
 direction, so the rewrite graph is undirected and a path between two
 complexes may be searched for from both ends at once.
+
+The search stores each state as one int, coefficient c_j in a w-bit field j,
+so a rewrite is one add or subtract of one unit in fields j and j-1.  No field
+overflows: every rewrite moves the total number of cells by exactly 2, so
+within step_bound layers no count exceeds max(total1, total2) + 2*step_bound,
+which w is chosen to hold; and a rewrite subtracts only from fields its guard
+has checked to be at least 1 (at least 2 for c_j), so none borrows.
+`rewrite_neighbors` stays as the tuple form of the same rule.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from typing import NamedTuple
 from .quantity import (  # noqa: F401  (dimension is re-exported)
     MorphError,
     MorphPoly,
+    _normalised,
     dimension,
     euler,
     render,
@@ -67,7 +76,7 @@ class CellComplex:
         return tuple(reversed(self._by_exp))
 
     def quantity(self) -> MorphPoly:
-        return MorphPoly.from_r_coeffs(dict(enumerate(self._by_exp)))
+        return _normalised(self._by_exp, 0)
 
     def dimension(self) -> int:
         return len(self._by_exp) - 1
@@ -94,10 +103,10 @@ class NormalForm(NamedTuple):
     count: int
 
     def quantity(self) -> MorphPoly:
-        n = self.dimension
+        n, count = self.dimension, self.count
         if self.kind == "pure_top":
-            return MorphPoly.from_r_coeffs({n: self.count})
-        return MorphPoly.from_r_coeffs({n: 1, n - 1: self.count})
+            return _normalised([0] * n + [count], 0)
+        return _normalised([0] * (n - 1) + [count, 1], 0)
 
     def describe(self) -> str:
         return render(self.quantity(), "r")
@@ -161,22 +170,45 @@ def rewrite_reachable(q1, q2, step_bound=None) -> bool:
     if c1.dimension() != c2.dimension() or c1.euler() != c2.euler():
         return False
 
+    # each state is one int, c_j in field j of w bits (see the module docstring)
+    layers = range(step_bound)  # TypeError for a step_bound that is not an int
+    w = (max(c1.total(), c2.total()) + 2 * step_bound).bit_length()
+    moves = []  # per j: field j's mask, 2 in field j, field j-1's mask, one in each
+    for j in range(1, len(c1._by_exp)):
+        unit = 1 << (w * j)
+        moves.append(((unit << w) - unit, unit << 1, unit - (unit >> w), unit | unit >> w))
     # one seen set and one frontier per end; the two depths add up to the
     # layers grown, so growing step_bound layers covers every path that long
-    seen = [{c1._by_exp}, {c2._by_exp}]
-    frontier = [[c1._by_exp], [c2._by_exp]]
-    for _ in range(step_bound):
+    seen = [{_pack(c1._by_exp, w)}, {_pack(c2._by_exp, w)}]
+    frontier = [list(seen[0]), list(seen[1])]
+    for _ in layers:
         side = len(frontier[1]) < len(frontier[0])
         mine, other = seen[side], seen[not side]
         layer = []
         for state in frontier[side]:
-            for nxt in rewrite_neighbors(state):
+            for top, two, below, d in moves:
+                count = state & top
+                if not count:
+                    continue
+                nxt = state + d
                 if nxt in other:
                     return True
                 if nxt not in mine:
                     mine.add(nxt)
                     layer.append(nxt)
+                if count >= two and state & below:
+                    nxt = state - d
+                    if nxt in other:
+                        return True
+                    if nxt not in mine:
+                        mine.add(nxt)
+                        layer.append(nxt)
         if not layer:
             return False
         frontier[side] = layer
     raise BoundExceeded(f"no rewrite path of length <= {step_bound} found")
+
+
+def _pack(by_exp, w) -> int:
+    """The coefficients c_0, c_1, ... as one int, c_j in bits [w*j, w*(j+1))."""
+    return sum(c << (w * j) for j, c in enumerate(by_exp))

@@ -558,6 +558,29 @@ def test_a_reader_that_closed_stdout_changes_neither_stderr_nor_the_status(
     assert (done.returncode, done.stderr) == (code, "")
 
 
+def test_the_repl_stops_reading_once_its_reader_has_gone():
+    # each line costs a dense 2001 x 2001 multiply; with stdout's read end closed
+    # before the REPL starts, not one of them should be evaluated
+    line, lines = "S(2000)*S(2000)", 60
+    start = time.perf_counter()
+    eval_expr(parse(line))
+    one_line = time.perf_counter() - start
+    src = str(Path(morphcalc.__file__).resolve().parent.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "morphcalc.cli", "repl"], input=f"{line}\n" * lines,
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        elapsed = time.perf_counter() - start
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert elapsed < lines * one_line / 6, (elapsed, one_line)
+
+
 def test_importing_the_command_line_loads_no_code_generator():
     # dataclasses generates each record's methods by exec at import, and imports
     # inspect; argparse (with gettext), json and importlib.resources are loaded

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphcalc.quantity import MorphPoly, evaluate_at
 from morphcalc.stability import (
@@ -230,3 +231,66 @@ def test_normal_form_certified_at_degree_4():
     assert len(cases) == 162
     for c in cases:
         assert rewrite_reachable(c, stable_normal_form(c).quantity(), 2 * c.total() + 8) is True, c
+
+
+# -- the packed-int search against the tuple rule --------------------------------
+
+_leading_first = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(st.integers(1, 5), *[st.integers(0, 5)] * n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_leading_first, st.data(), st.integers(1, 8))
+def test_packed_search_matches_one_sided_search_up_to_degree_5(coeffs, data, bound):
+    # `_one_sided` expands tuples through `rewrite_neighbors`, independent of the
+    # packed states; half the targets are a walk of rewrites from the source, so
+    # they share its component and test True and BoundExceeded, not only False
+    c1 = CellComplex(coeffs)
+    if data.draw(st.booleans()):
+        state = c1._by_exp
+        for _ in range(data.draw(st.integers(0, 10))):
+            state = data.draw(st.sampled_from(rewrite_neighbors(state) or [state]))
+        c2 = CellComplex(reversed(state))
+    else:
+        c2 = CellComplex(data.draw(st.tuples(
+            st.integers(1, 5), *[st.integers(0, 5)] * c1.dimension())))
+    assert _outcome(c1, c2, bound) is _one_sided(c1, c2, bound), (c1, c2, bound)
+
+
+def test_a_large_step_bound_widens_every_field():
+    assert rewrite_reachable(3 * R + 4, R + 2, 10 ** 6) is True
+    assert rewrite_reachable([1, 0, 5], [6, 0, 0], 10 ** 6) is True
+    assert rewrite_reachable(3 * R + 4, R + 3, 10 ** 6) is False  # Euler differs
+
+
+def test_large_coefficients_are_exact_at_the_shortest_path_length():
+    # R^2 + 60 to 61*R^2 moves one cell up two degrees at a time, 122 rewrites
+    c1, d = CellComplex([1, 0, 60]), 122
+    c2 = CellComplex(stable_normal_form(c1).quantity())
+    assert c2.coefficients == (61, 0, 0)
+    assert (_one_sided(c1, c2, d), _one_sided(c1, c2, d - 1)) == (True, BoundExceeded)
+    assert rewrite_reachable(c1, c2, d) is True
+    assert rewrite_reachable(c2, c1, d) is True
+    with pytest.raises(BoundExceeded, match=f"no rewrite path of length <= {d - 1} found"):
+        rewrite_reachable(c1, c2, d - 1)
+
+
+def test_every_accepted_input_kind_gives_the_same_answer():
+    sources = [CellComplex([3, 4]), 3 * R + 4, [3, 4], (3, 4)]
+    targets = [CellComplex([1, 2]), R + 2, [1, 2], (1, 2)]
+    for q1 in sources:
+        for q2 in targets:
+            assert rewrite_reachable(q1, q2, 2) is True
+            assert rewrite_reachable(q2, q1) is True  # default bound, 10 * total
+            assert rewrite_reachable(q1, [1, 3], 10) is False
+            with pytest.raises(BoundExceeded):
+                rewrite_reachable(q1, q2, 1)
+            with pytest.raises(ValueError, match="step_bound must be positive"):
+                rewrite_reachable(q1, q2, step_bound=0)
+    for bad in (R - 2, MorphPoly.zero(), P, [0, 1], [1.5]):
+        with pytest.raises(InvalidComplex):
+            rewrite_reachable(bad, R + 2, 5)
+        with pytest.raises(InvalidComplex):
+            rewrite_reachable(R + 2, bad, 5)
+    with pytest.raises(TypeError):
+        rewrite_reachable(3 * R + 4, R + 2, 2.0)
