@@ -96,6 +96,13 @@ SIZE_BUDGET = 1 << 22
 # R^20000, at 800 M bits, is refused.
 VIEW_BUDGET = 1 << 25
 
+# Largest accepted number of values the mixed-form search tries, summed over
+# the halfline bounds of one `semi_integral_minimal` call: each step of
+# `_dp_min_rep` adds the length of every range of E'_(k-1) it loops over.
+# Rp^3*R^10 + R^13 tries 1.5 M values and is answered in about 0.25 s;
+# Rp^4*R^4 + R^8, at 25.6 M, is refused.
+SEARCH_BUDGET = 1 << 23
+
 
 def _check_size(degree: int, bits: int) -> None:
     size = (degree + 1) * max(bits, 1)
@@ -534,8 +541,11 @@ class SemiIntegralForm(NamedTuple):
         return sum((c * P ** p * R ** r for p, r, c in self.terms), MorphPoly.zero())
 
 
-def _dp_min_rep(q: MorphPoly, j_bound: int):
-    """The best representation with halfline exponent <= j_bound, or None.
+def _dp_min_rep(c, j_bound: int, tried: list):
+    """The best representation of sum(c[i] * Rp^i) with halfline exponent <= j_bound, or None.
+
+    c are the non-negative halfline ints of a semi-integrable quantity, as
+    `semi_integral_minimal` reads them from its one view.
 
     Best means: minimal sum of coefficients on terms with p > 0, then the
     lexicographically smallest coefficient vector with terms ordered by
@@ -564,10 +574,11 @@ def _dp_min_rep(q: MorphPoly, j_bound: int):
     and a_(k+1) >= 2.  It saves at least 2 * big in this step and costs at
     most big + w in the next one, where the same later choices stay open,
     so the cheapest path never runs through the smaller E'.
+
+    tried is a one-item list that counts the values of E'_(k-1) tried, shared
+    by the bounds of one call of `semi_integral_minimal`; past SEARCH_BUDGET
+    the search raises MixedFormUnavailable.
     """
-    c, shift = _halfline_ints(q._ints, q._shift)
-    if shift or min(c) < 0:
-        return None
     degree = len(c) - 1
     j_bound = min(j_bound, degree)
     weight = {}
@@ -598,7 +609,12 @@ def _dp_min_rep(q: MorphPoly, j_bound: int):
                 d = e[k] - new[k]
                 if d < 0:
                     return
-                for x in range(min(d >> 1, e[k - 1]) + 1):
+                xs = range(min(d >> 1, e[k - 1]) + 1)
+                tried[0] += len(xs)
+                if tried[0] > SEARCH_BUDGET:
+                    raise MixedFormUnavailable(f"the mixed-form search tried {tried[0]} values, "
+                                               f"over the search budget of {SEARCH_BUDGET}")
+                for x in xs:
                     a = d - 2 * x
                     if a and k < top and coeffs[0] > 1:
                         continue
@@ -631,19 +647,26 @@ def _dp_min_rep(q: MorphPoly, j_bound: int):
 def semi_integral_minimal(q: MorphPoly) -> SemiIntegralForm:
     """The minimal-j halfline representation of a semi-integrable quantity.
 
-    Tries j = s, s + 1, ... with `_dp_min_rep`, s the shift of q; the first
-    feasible bound wins.  A term c * Rp^p * R^r is c * (R - 1)^p * R^r / 2^p,
-    so a sum of terms with p <= j has R-coefficients in 2^-j Z, and no j below
-    the denominator exponent s is feasible.
+    Reads one halfline view, after refusing the zero quantity and a negative
+    leading R-coefficient without one, and raises NotSemiIntegrable unless
+    that view has shift 0 and no negative coefficient.  Then tries j = s,
+    s + 1, ... with `_dp_min_rep` on the view, s the shift of q; the first
+    feasible bound wins, and is j_max.  A term c * Rp^p * R^r is
+    c * (R - 1)^p * R^r / 2^p, so a sum of terms with p <= j has
+    R-coefficients in 2^-j Z, and no j below the denominator exponent s is
+    feasible; the form found at bound j uses p = j, since no bound below it
+    is feasible.  The values the search tries are counted over all bounds,
+    and past SEARCH_BUDGET it raises MixedFormUnavailable (exit 4).
     """
-    if not classify(q).semi_integrable:
-        raise NotSemiIntegrable(f"{render(q, 'r')} is not semi-integrable")
-    for j in range(q._shift, q.degree() + 1):
-        found = _dp_min_rep(q, j)
-        if found is not None:
-            j_max = max((p for p, _, _ in found), default=0)
-            return SemiIntegralForm(terms=found, j_max=j_max)
-    raise NotSemiIntegrable("no halfline representation found")  # unreachable
+    if q._ints and q._ints[-1] > 0:  # so has the leading halfline coefficient
+        c, shift = _halfline_ints(q._ints, q._shift)
+        if not shift and min(c) >= 0:
+            tried = [0]  # values of E' tried, over every bound
+            for j in range(q._shift, len(c)):
+                found = _dp_min_rep(c, j, tried)
+                if found is not None:
+                    return SemiIntegralForm(terms=found, j_max=j)
+    raise NotSemiIntegrable(f"{render(q, 'r')} is not semi-integrable")
 
 
 # -- rendering -----------------------------------------------------------

@@ -711,6 +711,13 @@ _NO_FLAGS = ("is_object=no integrable=no semi_integrable=no integer_type=no "
     (("eval", "S(20000)", "--form", "mixed"), 4, "", "precondition violated: the halfline form "
      "would hold about 800380017 bits, over the view budget of 33554432\n"),
     (("factor", "(S(20000))"), 0, "factors: RP(20000)\nresidual: 2\n", ""),
+    (("eval", "Rp^5*R^4 + R^9", "--form", "mixed"), 4, "", "precondition violated: the mixed-form "
+     "search tried 8388702 values, over the search budget of 8388608\n"),
+    (("eval", "Rp^6*R^100 + R^106", "--form", "mixed"), 4, "", "precondition violated: the "
+     "mixed-form search tried 3089940673 values, over the search budget of 8388608\n"),
+    (("eval", "Rp^3*R^10 + R^13", "--form", "mixed"), 0, "Rp^3*R^10 + R^13\n", ""),
+    (("eval", "0-R^20000", "--form", "mixed"), 4, "",
+     "precondition violated: 0 - R^20000 is not semi-integrable\n"),
 ])
 def test_large_inputs_answer_within_a_deadline(argv, code, out, err):
     t0 = time.monotonic()

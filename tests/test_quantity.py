@@ -22,7 +22,8 @@ from morphcalc.quantity import (
     render,
     semi_integral_minimal,
 )
-from morphcalc.quantity import VIEW_BUDGET, _dp_min_rep, _halfline_ints, _view_bits
+from morphcalc.quantity import SEARCH_BUDGET, VIEW_BUDGET, _dp_min_rep, _halfline_ints, _view_bits
+from morphcalc import quantity
 from morphcalc.lang import eval_expr, parse
 
 from oracles import _search_min_rep, p_coeff
@@ -462,6 +463,13 @@ def test_semi_integral_phantoms_pinned():
         assert render(eval_expr(parse(f"RPh({m})")), "mixed") == text
 
 
+def _dp(q, j):
+    """`_dp_min_rep` on q's halfline view, read as `semi_integral_minimal` reads it."""
+    c, shift = _halfline_ints(q._ints, q._shift)
+    assert shift == 0 and min(c) >= 0
+    return _dp_min_rep(c, j, [0])
+
+
 def test_dp_matches_search_oracle_to_degree_4():
     # every semi-integrable quantity of degree <= 4 with Rp-coefficients 0..3,
     # at every halfline bound, including the infeasible ones (None)
@@ -472,7 +480,7 @@ def test_dp_matches_search_oracle_to_degree_4():
         q = MorphPoly(dict(enumerate(coeffs)))
         for j in range(q.degree() + 1):
             found = _search_min_rep(q, j)
-            assert _dp_min_rep(q, j) == found, (coeffs, j)
+            assert _dp(q, j) == found, (coeffs, j)
             assert j >= q._shift or found is None, (coeffs, j)  # none below the shift
             pairs += 1
     assert pairs == 4779
@@ -486,13 +494,48 @@ def test_dp_matches_search_oracle_degree_5_draws():
         coeffs = [rng.randint(0, 3) for _ in range(5)] + [rng.randint(1, 3)]
         q = MorphPoly(dict(enumerate(coeffs)))
         for j in range(6):
-            assert _dp_min_rep(q, j) == _search_min_rep(q, j), (coeffs, j)
+            assert _dp(q, j) == _search_min_rep(q, j), (coeffs, j)
 
 
 def test_dp_matches_search_oracle_outside_semi_integrable():
+    # the search finds no form at any bound, and the mixed form refuses before any search
     for q in (P - 1, P * Fraction(1, 2), R - 2, 1 - R):
         for j in range(q.degree() + 1):
-            assert _dp_min_rep(q, j) is _search_min_rep(q, j) is None
+            assert _search_min_rep(q, j) is None
+        with pytest.raises(NotSemiIntegrable, match="is not semi-integrable"):
+            semi_integral_minimal(q)
+
+
+def test_the_mixed_form_reads_one_view_and_never_classifies(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(quantity, name)
+        monkeypatch.setattr(quantity, name, lambda *a: calls.append(name) or real(*a))
+
+    spy("_halfline_ints")
+    spy("classify")
+    q = eval_expr(parse("RPh(4)"))
+    assert render(q, "mixed") == "2*Rp*R^3 + 2*Rp*R + 1"
+    assert calls == ["_halfline_ints"]
+
+
+def test_the_mixed_form_search_stops_at_its_budget(monkeypatch):
+    q = R ** 8 + P ** 4 * R ** 4  # tries 25.6 M values to its answer
+    t0 = time.monotonic()
+    budget = f"search tried [0-9]+ values, over the search budget of {SEARCH_BUDGET}$"
+    with pytest.raises(MixedFormUnavailable, match=budget):
+        semi_integral_minimal(q)
+    assert time.monotonic() - t0 < 10
+    # the count covers every bound of one call: 1 value at j = 1, refused, and 9 at j = 2
+    q = eval_expr(parse("2*Rp^2*R + Rp*R^2 + 2"))
+    monkeypatch.setattr(quantity, "SEARCH_BUDGET", 10)
+    assert semi_integral_minimal(q).j_max == 2
+    monkeypatch.setattr(quantity, "SEARCH_BUDGET", 9)
+    with pytest.raises(MixedFormUnavailable, match="tried 10 values, over the search budget of 9"):
+        semi_integral_minimal(q)
+    with pytest.raises(MixedFormUnavailable):  # and so does the rendering
+        render(q, "mixed")
 
 
 def test_dp_on_inputs_the_search_cannot_finish():
