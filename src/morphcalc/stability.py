@@ -4,11 +4,19 @@ A cell complex is a quantity with non-negative integer R-coefficients and a
 positive leading coefficient.  Both rewrite directions preserve the dimension
 and the Euler characteristic, and every complex reduces to exactly one of
 a * R^n (a >= 1) or R^n + b * R^(n-1) (b >= 1).  The closed form here reads
-that final shape off the preserved pair; `rewrite_reachable` is the search
-oracle that certifies it by an explicit rewrite path.  The oracle is a
-bidirectional breadth-first search: every rewrite can be undone by the other
-direction, so the rewrite graph is undirected and a path between two
-complexes may be searched for from both ends at once.
+that final shape off the preserved pair; `rewrite_reachable` is the oracle
+that certifies it by an explicit rewrite path.  Every rewrite can be undone by
+the other direction, so the rewrite graph is undirected, and a path between
+two complexes may be built or searched for from both ends at once.
+
+The oracle answers first with a certificate: `_reduce` walks each end to its
+final shape by the rewrite rule alone, applying each rewrite only where its
+guard holds and counting runs of equal rewrites in one step.  When both walks
+end at the same complex within step_bound rewrites together, the first walk
+followed by the second read backwards is a path the search would also find.
+The walk never reads the closed form or the Euler characteristic.  Only when
+the certificate does not fit the bound does the oracle run a bidirectional
+breadth-first search, which is exact at the shortest path length.
 
 The search stores each state as one int, coefficient c_j in a w-bit field j,
 so a rewrite is one add or subtract of one unit in fields j and j-1.  No field
@@ -148,12 +156,15 @@ def default_step_bound(c: CellComplex) -> int:
 
 
 def rewrite_reachable(q1, q2, step_bound=None) -> bool:
-    """Bidirectional breadth-first search: can q2 be rewritten from q1 within step_bound steps?
+    """Can q2 be rewritten from q1 within step_bound steps?
 
     Every rewrite is reversible, so a path from q1 to q2 read backwards is one
-    from q2 to q1.  The search keeps a seen set and a frontier for each end,
-    grows the smaller frontier by one layer at a time, and stops when a new
-    state is one the other end has seen.
+    from q2 to q1.  The certificate answers first: when `_reduce` takes both
+    ends to the same complex in at most step_bound rewrites together, the
+    answer is True with no search.  Otherwise a bidirectional breadth-first
+    search keeps a seen set and a frontier for each end, grows the smaller
+    frontier by one layer at a time, and stops when a new state is one the
+    other end has seen.
 
     Returns False definitively when an invariant rules reachability out or a
     component is exhausted; raises BoundExceeded when step_bound layers have
@@ -170,8 +181,14 @@ def rewrite_reachable(q1, q2, step_bound=None) -> bool:
     if c1.dimension() != c2.dimension() or c1.euler() != c2.euler():
         return False
 
-    # each state is one int, c_j in field j of w bits (see the module docstring)
     layers = range(step_bound)  # TypeError for a step_bound that is not an int
+    # the certificate: one end's walk, then the other's read backwards
+    end1, steps1 = _reduce(c1._by_exp)
+    end2, steps2 = _reduce(c2._by_exp)
+    if end1 == end2 and steps1 + steps2 <= step_bound:
+        return True
+
+    # the search: each state is one int, c_j in field j of w bits (see the module docstring)
     w = (max(c1.total(), c2.total()) + 2 * step_bound).bit_length()
     moves = []  # per j: field j's mask, 2 in field j, field j-1's mask, one in each
     for j in range(1, len(c1._by_exp)):
@@ -212,3 +229,38 @@ def rewrite_reachable(q1, q2, step_bound=None) -> bool:
 def _pack(by_exp, w) -> int:
     """The coefficients c_0, c_1, ... as one int, c_j in bits [w*j, w*(j+1))."""
     return sum(c << (w * j) for j, c in enumerate(by_exp))
+
+
+def _reduce(by_exp) -> tuple:
+    """Rewrite one complex to its final shape: (end coefficients by exponent, rewrites).
+
+    For j = 1..n, c_(j-1) is cleared by down-rewrites at j, each needing
+    c_j >= 2 and c_(j-1) >= 1.  Below the top, c_j is first raised to
+    c_(j-1) + 1 by up-rewrites at j + 1, each needing c_(j+1) >= 1; when
+    c_(j+1) is 0, one up-rewrite at each exponent from the first non-zero
+    coefficient above down to j + 2 makes it 1.  Nothing raises c_n, so at
+    j = n the down-rewrites stop at c_n = 1 when c_(n-1) is too large.  No
+    rewrite touches an exponent below j, so cleared coefficients stay 0.
+    """
+    c = list(by_exp)
+    n = len(c) - 1
+    steps = 0
+    for j in range(1, n + 1):
+        if not c[j - 1]:
+            continue
+        need = c[j - 1] + 1 - c[j]
+        if need > 0 and j < n:
+            if not c[j + 1]:
+                top = next(i for i in range(j + 2, n + 1) if c[i])
+                for i in range(top, j + 1, -1):
+                    c[i] += 1
+                    c[i - 1] += 1
+                steps += top - j - 1
+            c[j + 1] += need
+            c[j] += need
+            steps += need
+        down = min(c[j - 1], c[j] - 1)
+        c[j] -= down
+        c[j - 1] -= down
+        steps += down
+    return tuple(c), steps

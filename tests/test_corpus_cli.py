@@ -640,7 +640,7 @@ def test_cli_repl_mixed_form(monkeypatch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=12))
+@given(st.text(max_size=40))
 @example("9" * 5000)
 @example("a ; 1 ; == ; " + "9" * 5000 + " ; over the digit limit")
 def test_any_text_evaluates_loads_or_raises_a_morph_error(source):
@@ -658,7 +658,7 @@ _TOKENS = st.one_of(
 )
 
 
-_SOURCES = st.lists(_TOKENS, max_size=12).map(" ".join)  # spaces keep numbers <= 40
+_SOURCES = st.lists(_TOKENS, max_size=40).map(" ".join)  # spaces keep numbers <= 40
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,14 +1,17 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphcalc import stability
 from morphcalc.quantity import MorphPoly, evaluate_at
 from morphcalc.stability import (
     BoundExceeded,
     CellComplex,
     InvalidComplex,
     NormalForm,
+    _reduce,
     default_step_bound,
     dimension,
     rewrite_neighbors,
@@ -294,3 +297,69 @@ def test_every_accepted_input_kind_gives_the_same_answer():
             rewrite_reachable(R + 2, bad, 5)
     with pytest.raises(TypeError):
         rewrite_reachable(3 * R + 4, R + 2, 2.0)
+
+
+# -- the certificate: both ends reduced by the rule, then compared ----------------
+
+
+def _reduced(c):
+    end, steps = _reduce(c._by_exp)
+    return CellComplex(reversed(end)), steps
+
+
+def test_the_reduction_ends_at_the_closed_form_by_a_real_path():
+    # all 255 complexes of degree <= 3 with coefficients <= 3: the one-sided
+    # search, which expands tuples through `rewrite_neighbors`, finds the end
+    # within the number of rewrites the reduction counted
+    cases = [c for n in range(4) for c in _complexes(n, top=3)]
+    assert len(cases) == 255
+    for c in cases:
+        end, steps = _reduced(c)
+        assert end == CellComplex(stable_normal_form(c).quantity()), c
+        assert _reduced(end) == (end, 0), c
+        assert _one_sided(c, end, max(steps, 1)) is True, (c, steps)
+
+
+def test_the_reduction_ends_at_the_closed_form_at_degree_4():
+    cases = [c for n in range(5) for c in _complexes(n, top=4)]
+    assert len(cases) == 3124
+    for c in cases:
+        assert _reduced(c)[0] == CellComplex(stable_normal_form(c).quantity()), c
+
+
+def _no_search(*args):
+    raise AssertionError("the search ran")
+
+
+def test_the_certificate_answers_without_the_search(monkeypatch):
+    monkeypatch.setattr(stability, "_pack", _no_search)
+    assert rewrite_reachable([3, 0, 0, 3], [1, 1, 0, 0]) is True
+    with pytest.raises(AssertionError, match="the search ran"):
+        rewrite_reachable([3, 0, 0, 3], [1, 1, 0, 0], 1)
+
+
+def test_a_bound_below_the_certificate_runs_the_exact_search(monkeypatch):
+    # the reductions of these two take 10 rewrites together; the shortest path is 4
+    c1, c2 = CellComplex([1, 0, 2]), CellComplex([2, 0, 1])
+    assert _reduced(c1)[1] + _reduced(c2)[1] == 10
+    assert (_one_sided(c1, c2, 4), _one_sided(c1, c2, 3)) == (True, BoundExceeded)
+    packed = []
+    pack = stability._pack
+    monkeypatch.setattr(stability, "_pack", lambda *a: packed.append(a) or pack(*a))
+    assert rewrite_reachable(c1, c2, 4) is True
+    with pytest.raises(BoundExceeded, match="no rewrite path of length <= 3 found"):
+        rewrite_reachable(c1, c2, 3)
+    assert len(packed) == 4  # both ends packed by each of the two searches
+    assert rewrite_reachable(c1, c2, 10) is True
+    assert len(packed) == 4
+
+
+def test_a_long_reduction_answers_within_a_deadline(monkeypatch):
+    # the exhaustive search gives no answer here in minutes; the certificate is
+    # 84 rewrites against the default bound of 130, so the search must not run
+    monkeypatch.setattr(stability, "_pack", _no_search)
+    c = CellComplex([1, 0, 0, 0, 0, 0, 0, 12])
+    assert _reduced(c)[1] == 84 and default_step_bound(c) == 130
+    start = time.perf_counter()
+    assert rewrite_reachable(c, stable_normal_form(c).quantity()) is True
+    assert time.perf_counter() - start < 1.0
