@@ -11,16 +11,20 @@ and HP(n) for step 2 and 4, and the middle factor for other steps >= 3.
 
 Every candidate is a product of cyclotomic polynomials Phi_d, because
 R^m - 1 = prod_{d | m} Phi_d, so it divides the input exactly when its
-exponents {d: e_d} fit under the input's.  Greedy order: strip powers of R
-and read the input's exponents once.  The candidates are then generated
-from that support alone: those whose top index, step*(n+1) or 6m for a
-phantom plane, has a non-zero exponent.  Each is taken, by descending
-degree (family, then step, breaks ties), as many times as it fits.  Odd
-real projective spaces are intentionally not scanned: RP^(2m+1) =
-(R + 1) * CP^m, and which CP the stray (R + 1) belongs to only becomes
-clear at the end.  So up to that many copies of the last CP found, the
-smallest, become odd RPs in its place, and the rest stay RP(1).  This
-deterministic order reproduces all the worked Grassmannian tables.
+exponents {d: e_d} fit under the input's.  An exponent vector is a plain
+dict of its non-zero e_d.  Greedy order: strip powers of R and read the
+input's exponents once.  The candidates are then generated from that
+support alone: those whose top index, step*(n+1) or 6m for a phantom plane,
+has a non-zero exponent.  Each top index has one cached tuple of cover rows,
+its candidates with their exponents as (d, e) pairs, so a row is built once
+and not again for every input.  Each candidate is taken, by descending
+degree (family, then step, breaks ties), as many times as it fits, and its
+exponents are subtracted from the input's in place.  Odd real projective
+spaces are intentionally not scanned: RP^(2m+1) = (R + 1) * CP^m, and
+which CP the stray (R + 1) belongs to only becomes clear at the end.  So up
+to that many copies of the last CP found, the smallest, become odd RPs in
+its place, and the rest stay RP(1).  This deterministic order reproduces
+all the worked Grassmannian tables.
 
 The exponents {d: e_d} come from one of two sources, and the cover above
 runs unchanged on either.  A catalog product scale * R^a * prod (R^m - 1)^k
@@ -39,11 +43,16 @@ of the input fails.  The fold tests cost the square of the degree and leave
 Phi_1 and the Phi_d above three times the degree in the ints left; the pairs
 cost their divisors and leave only the scale.  The residual is those ints
 times the Phi_d the cover leaves, one `_times_pairs` pass over their pairs.
+
+Every cache here is bounded, so a long-lived process keeps at most: 1,024
+divisor tuples and 1,024 Moebius pair tuples (about 1 MB in all for indices
+near 20,000), 256 row tuples (about 1.4 MB for tops near 20,000) and 64
+Hopf middle factors, each no larger than the input it was found in (3 MB
+for 64 of degree 6,000); the oldest used entry goes first.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import isqrt, prod
 from operator import add
@@ -119,38 +128,50 @@ class FactorizationResult(NamedTuple):
 _FAMILY_RANK = {"SS": 0, "RP": 1, "CP": 2, "HP": 3, "hopf": 4, "Ph": 5}
 
 
-@lru_cache(maxsize=None)
+# the caches' bounds, in entries (module docstring)
+_CACHED_INDICES = 1024
+_CACHED_ROWS = 256
+_CACHED_MIDDLES = 64
+
+
+@lru_cache(maxsize=_CACHED_INDICES)
 def _divisors(m: int):
-    # ascending, as _mobius needs: the divisors up to isqrt(m), then their cofactors
+    # ascending: the divisors up to isqrt(m), then their cofactors
     low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
     return tuple(low + [m // d for d in reversed(low) if d * d != m])
 
 
-@lru_cache(maxsize=None)
-def _mobius(n: int) -> int:
-    # the sum of mu over the divisors of n is 0 for n > 1
-    return 1 if n == 1 else -sum(_mobius(d) for d in _divisors(n)[:-1])
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_INDICES)
 def _over_cyclotomic(d: int):
-    """Pairs (m, -mu(d/m)), times which `_times_pairs` divides by Phi_d, and deg Phi_d."""
-    pairs = tuple((m, -_mobius(d // m)) for m in _divisors(d) if _mobius(d // m))
+    """Pairs (m, -mu(d/m)), times which `_times_pairs` divides by Phi_d, and deg Phi_d.
+
+    mu(d/m) is (-1)^j when d/m is a product of j distinct primes, else 0, so
+    each prime p of d adds the pairs (m/p, -k) to the (m, k) so far.  A divisor
+    is such a prime when it divides what is left of d once the smaller primes
+    are divided out.
+    """
+    pairs, left = {d: -1}, d
+    for p in _divisors(d)[1:]:
+        if left % p == 0:
+            while left % p == 0:
+                left //= p
+            pairs.update({m // p: -k for m, k in pairs.items()})
+        if left == 1:
+            break
+    pairs = tuple(sorted(pairs.items()))
     return pairs, -sum(m * k for m, k in pairs)
 
 
-def _summed_exponents(pairs) -> Counter:
+def _summed_exponents(pairs) -> dict:
     """The non-zero {d: e_d} of prod (R^m - 1)^k over the (m, k) pairs.
 
     e_d adds up the k of the m that d divides.
     """
-    exponents = Counter()
+    exponents = {}
     for m, k in pairs:
-        exponents.update(dict.fromkeys(_divisors(m), k))
-    return +exponents
-
-
-_exponents = lru_cache(maxsize=None)(_summed_exponents)  # a candidate's, shared, so never mutated
+        for d in _divisors(m):
+            exponents[d] = exponents.get(d, 0) + k
+    return {d: e for d, e in exponents.items() if e}
 
 
 def _times_cyclotomic(c, exponents):
@@ -158,9 +179,10 @@ def _times_cyclotomic(c, exponents):
 
     Phi_d^e is prod (R^m - 1)^(-k*e) over the pairs (m, k) that divide by Phi_d.
     """
-    pairs = Counter()
+    pairs = {}
     for d, e in exponents.items():
-        pairs.update({m: -k * e for m, k in _over_cyclotomic(d)[0]})
+        for m, k in _over_cyclotomic(d)[0]:
+            pairs[m] = pairs.get(m, 0) - k * e
     return _times_pairs(c, pairs.items())
 
 
@@ -169,7 +191,7 @@ def _cyclotomic_exponents(c, ds):
 
     c holds integers; each Phi_d is monic, so every division stays over Z.
     """
-    exponents = Counter()
+    exponents = {}
     for d in ds:
         pairs, degree = _over_cyclotomic(d)
         while degree < len(c):  # deg Phi_d <= deg c
@@ -179,7 +201,7 @@ def _cyclotomic_exponents(c, ds):
             if _times_pairs(fold, pairs) is None:
                 break
             c = _times_pairs(c, pairs)
-            exponents[d] += 1
+            exponents[d] = exponents.get(d, 0) + 1
     return exponents, c
 
 
@@ -209,6 +231,22 @@ def _candidates(top: int):
                _phantom(2, m))
 
 
+@lru_cache(maxsize=_CACHED_ROWS)
+def _rows(top: int):
+    """`_candidates(top)` as cover rows (key, family, name, params, block, need).
+
+    need is the block's exponents as (d, e) pairs; rows are shared, so never mutated.
+    """
+    return tuple((*candidate, tuple(_summed_exponents(candidate[4][2]).items()))
+                 for candidate in _candidates(top))
+
+
+@lru_cache(maxsize=_CACHED_MIDDLES)
+def _middle(block):
+    """A Hopf middle factor's quantity; `catalog_quantity` keeps the named ones."""
+    return _quotient([block])
+
+
 def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
     """Greedy extraction of the candidates; leftover is the residual.
 
@@ -230,12 +268,12 @@ def factor_into_catalog(q: MorphPoly) -> FactorizationResult:
         top = 3 * (len(q._ints) - 1 - low)
         exponents, rest = _cyclotomic_exponents(q._ints[low:], range(2, top + 1))
 
-    for _, family, name, params, block in sorted(c for top in exponents for c in _candidates(top)):
-        need = _exponents(block[2])
-        times = min(exponents[d] // e for d, e in need.items())
+    for _, family, name, params, block, need in sorted(r for top in exponents for r in _rows(top)):
+        times = min(exponents.get(d, 0) // e for d, e in need)
         if times:
-            exponents.subtract({d: e * times for d, e in need.items()})
-            poly = catalog_quantity(name, params) if name else _quotient([block])
+            for d, e in need:
+                exponents[d] -= e * times
+            poly = catalog_quantity(name, params) if name else _middle(block)
             factors.append(Factor(family, name, params, poly, times))
 
     # trailing halfline circles: RP^1 = R + 1; the other leftovers join the residual
@@ -321,12 +359,22 @@ def _signature(result: FactorizationResult, n: int):
 
 
 def periodicity_scan(k: int, n_range) -> PeriodicityReport:
-    """Factor the real Grassmannians G(n, k) across n_range and group by shape."""
+    """Factor the real Grassmannians G(n, k) and group them by shape.
+
+    n runs over every integer from the least to the greatest of the integers in
+    n_range, so (4, 12), range(4, 13) and range(4, 13, 2) all scan n = 4..12.
+    """
     if k not in (2, 3):
         raise BadParams("periodicity_scan handles k = 2 and k = 3")
-    if not n_range:
+    try:
+        ns = list(n_range)  # read once: an iterator has no second pass
+    except TypeError:
+        ns = None
+    if not ns:
         raise BadParams("periodicity_scan needs a non-empty range")
-    lo, hi = min(n_range), max(n_range)
+    if not all(isinstance(n, int) for n in ns):
+        raise BadParams("periodicity_scan needs integer n")
+    lo, hi = min(ns), max(ns)
     if lo <= k:
         raise BadParams("range must stay within k < n")
     entries = []

@@ -247,6 +247,21 @@ def test_periodicity_scan_of_an_empty_range_is_bad_params():
         periodicity_scan(2, range(5, 5))
 
 
+def test_periodicity_scan_reads_its_range_once():
+    # an iterator has no second pass; the scan still covers 4..7
+    assert [n for n, _, _ in periodicity_scan(3, iter(range(4, 8))).entries] == [4, 5, 6, 7]
+
+
+def test_periodicity_scan_covers_min_to_max_of_a_stepped_range():
+    assert [n for n, _, _ in periodicity_scan(2, range(5, 9, 2)).entries] == [5, 6, 7]
+
+
+@pytest.mark.parametrize("n_range", [(4.5, 6), (4, "6"), 5])
+def test_periodicity_scan_refuses_a_range_that_is_not_integers(n_range):
+    with pytest.raises(BadParams):
+        periodicity_scan(3, n_range)
+
+
 # -- reference: greedy trial division by candidate polynomials ------------------
 
 
@@ -333,6 +348,40 @@ def test_each_candidate_factors_to_itself():
             [factor] = result.factors
             assert factor.poly == poly and factor.multiplicity == 1
             assert (factor.family, factor.name, factor.params) == (family, name, params)
+
+
+def test_cover_rows_are_the_candidates_with_their_exponents():
+    for top in range(1, 91):
+        rows = factorize._rows(top)
+        assert [row[:5] for row in rows] == list(_candidates(top)), top
+        for row in rows:
+            assert row[5] == tuple(_summed_exponents(row[4][2]).items()), (top, row[:4])
+
+
+def _mu(n):
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def test_over_cyclotomic_pairs_are_the_negated_moebius_values():
+    for d in range(1, 1001):
+        pairs = tuple((m, -_mu(d // m)) for m in range(1, d + 1) if d % m == 0 and _mu(d // m))
+        assert factorize._over_cyclotomic(d) == (pairs, -sum(m * k for m, k in pairs)), d
+
+
+def test_every_factorize_cache_is_bounded():
+    caches = {name: value for name, value in vars(factorize).items()
+              if hasattr(value, "cache_info")}
+    assert set(caches) == {"_divisors", "_over_cyclotomic", "_rows", "_middle"}
+    for name, cache in caches.items():
+        assert isinstance(cache.cache_info().maxsize, int), name
 
 
 @pytest.mark.parametrize("expr,factors,residual", [
