@@ -11,17 +11,24 @@ Parenthesised sub-expressions become Bracket nodes, so source bracketing
 survives a parse/print round trip; evaluation ignores them.  Every node is a
 named tuple under the one base Expr, declared on one line, whose last field
 is its source `span`.
+
+The printer and the evaluator read a chain of + and - down its left spine,
+so a long sum costs no recursion.  The evaluator adds a sum in one pass into
+one accumulator: a term's integer, R, C and H factors and their powers fold
+into one c*R^r read off the syntax, its other factors multiply left to
+right, and the term adds in as c times that rest at offset r.  Each size
+check and error is the one that building every node's quantity would meet.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import reduce
-from operator import add, mul
 
 from .catalog import ENTRY_IDS, catalog_quantity
-from .quantity import MorphError, MorphPoly, P, R, UsageError, div_exact
+from .quantity import (
+    MorphError, MorphPoly, P, R, SizeLimitExceeded, UsageError, _add_scaled, _check_size,
+    _normalised, div_exact)
 
 
 class ExprSyntaxError(UsageError):
@@ -82,6 +89,8 @@ _TOKEN_RE = re.compile(
     r"(?P<NAT>[0-9]+)|(?P<IDENT>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
 _SYMBOLS = {"R": R, "Rp": P, "C": R ** 2, "H": R ** 4}
+_LINE_POWERS = {"R": 1, "C": 2, "H": 4}  # the symbols that are powers of R, by exponent
+_MONOMIAL_NODES = frozenset((Nat, Sym, Pow))  # the nodes that may be c*R^r (see _monomial)
 
 
 def _tokenize(source: str):
@@ -226,10 +235,16 @@ def _print(e: Expr) -> str:
         return e.name
     if isinstance(e, CatalogCall):
         return f"{e.id}({','.join(str(p) for p in e.params)})"
-    if isinstance(e, Add):
-        return " + ".join(_print(x) for x in e.items)
-    if isinstance(e, Sub):
-        return f"{_print(e.left)} - {_print(e.right)}"
+    if isinstance(e, (Add, Sub)):
+        tail = []  # read right to left down the left spine, so a long chain costs no recursion
+        while isinstance(e, Sub) or isinstance(e, Add) and e.items:
+            if isinstance(e, Sub):
+                tail.append(f" - {_print(e.right)}")
+                e = e.left
+            else:
+                tail += [f" + {_print(x)}" for x in reversed(e.items[1:])]
+                e = e.items[0]
+        return ("" if isinstance(e, Add) else _print(e)) + "".join(reversed(tail))
     if isinstance(e, Mul):
         return "*".join(_print(x) for x in e.items)
     if isinstance(e, Div):
@@ -242,7 +257,7 @@ def _print(e: Expr) -> str:
 
 
 def eval_expr(e: Expr) -> MorphPoly:
-    """Bottom-up evaluation; brackets erased; division must be exact.
+    """Evaluation with brackets erased; division must be exact.
 
     Domain errors gain a .span attribute pointing at the innermost offending
     sub-expression of the original source.
@@ -254,27 +269,167 @@ def eval_expr(e: Expr) -> MorphPoly:
 
 
 def _eval(e: Expr) -> MorphPoly:
+    """The value of node e; a MorphError raised below it without a span gains e's."""
+    cls = e.__class__
     try:
-        if isinstance(e, Nat):
-            return MorphPoly.constant(e.value)
-        if isinstance(e, Sym):
-            return _SYMBOLS[e.name]
-        if isinstance(e, CatalogCall):
+        if cls is CatalogCall:
             return catalog_quantity(e.id, e.params)
-        if isinstance(e, Add):
-            return reduce(add, map(_eval, e.items))
-        if isinstance(e, Sub):
-            return _eval(e.left) - _eval(e.right)
-        if isinstance(e, Mul):
-            return reduce(mul, map(_eval, e.items))
-        if isinstance(e, Div):
-            return div_exact(_eval(e.num), _eval(e.den))
-        if isinstance(e, Pow):
+        if cls is Sym:
+            return _SYMBOLS[e.name]
+        if cls is Add or cls is Sub or cls is Mul:
+            return _sum(e)
+        if cls is Nat:
+            return MorphPoly.constant(e.value)
+        if cls is Pow:
             return _eval(e.base) ** e.exponent
-        if isinstance(e, Bracket):
-            return _eval(e.child)
+        if cls is Div:
+            return div_exact(_eval(e.num), _eval(e.den))
+        if cls is Bracket:
+            child = e.child  # a bracketed chain goes to _sum at once, one frame fewer
+            cls = child.__class__
+            return _sum(child) if cls is Add or cls is Sub or cls is Mul else _eval(child)
     except MorphError as exc:
         if getattr(exc, "span", None) is None:
             exc.span = e.span
         raise
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _monomial(f):
+    """(c, r) with f = c*R^r if f is an integer, R, C, H or a power of one, else None.
+
+    A power runs the size check that `**` would, and its error takes the power's span.
+    """
+    cls = f.__class__
+    if cls is Nat:
+        return (f.value, 0) if f.value.__class__ is int else None
+    if cls is Sym:
+        r = _LINE_POWERS.get(f.name)
+        return None if r is None else (1, r)
+    if cls is not Pow or f.exponent.__class__ is not int or f.exponent < 0:
+        return None
+    base = _monomial(f.base)
+    if base is None:
+        return None
+    (c, r), n = base, f.exponent
+    if c:  # as MorphPoly.__pow__: degree n*r, n * bits(|c| - 1) bits
+        try:
+            _check_size(n * r, n * (abs(c) - 1).bit_length())
+        except SizeLimitExceeded as exc:
+            exc.span = f.span
+            raise
+    return c ** n, r * n
+
+
+def _shape(q):
+    """(length, largest |coefficient|, non-zero count) of q's ints, None if q is zero."""
+    t = q._ints
+    return (len(t), max(map(abs, t)), len(t) - t.count(0)) if t else None
+
+
+def _scaled_shape(c, r, q, shape):
+    """The shape of c*R^r*q from shape = _shape(q), None if zero.
+
+    The powers of two that c and q's shift share cancel in the normal form.
+    """
+    if not c or shape is None:
+        return None
+    n, top, nonzero = shape
+    return r + n, (abs(c) >> min(q._shift, (c & -c).bit_length() - 1)) * top, nonzero
+
+
+def _check_product(a, b):
+    """The size check MorphPoly.__mul__ makes on two operands of these shapes."""
+    if a and b:
+        _check_size(a[0] + b[0] - 2, (a[1] * b[1] * min(a[2], b[2]) - 1).bit_length())
+
+
+def _term(factors):
+    """(c, r, rest) with the product of `factors` = c*R^r*rest, rest None for 1.
+
+    The monomial factors (see _monomial) fold into c*R^r, read off the syntax;
+    the others multiply into rest left to right.  Each join makes the size
+    check that multiplying the factors left to right would make, so the same
+    check fails in the same place: on the shapes alone, or, once c*R^r is
+    applied to rest before rest meets another factor, in `rest * value`.
+    """
+    c, r, rest, shape = 1, 0, None, None  # shape: _shape(rest), once known
+    for i, f in enumerate(factors):
+        mono = _monomial(f) if f.__class__ in _MONOMIAL_NODES else None
+        if mono is not None:
+            fc, fr = mono
+            if i and c and fc:
+                if rest is None:  # c*R^r times fc*R^fr
+                    _check_size(r + fr, (abs(c * fc) - 1).bit_length())
+                else:
+                    shape = shape or _shape(rest)
+                    _check_product(_scaled_shape(c, r, rest, shape), (fr + 1, abs(fc), 1))
+            c *= fc
+            r += fr
+        elif rest is None:
+            rest = _eval(f)
+            if i:
+                shape = _shape(rest)
+                _check_product(c and (r + 1, abs(c), 1), shape)
+        else:
+            if c != 1 or r:  # c*R^r*rest met its checks as its factors joined
+                acc = []
+                shift = _add_scaled(acc, 0, c, rest, r) if c and rest._ints else 0
+                rest, c, r = _normalised(acc, shift), 1, 0
+            rest, shape = rest * _eval(f), None  # which checks itself
+    return c, r, rest
+
+
+def _sum(e: Expr) -> MorphPoly:
+    """The value of a chain of + and -, or of one product, in one pass into one accumulator.
+
+    The chain is read down its left spine, so its length costs no recursion.
+    Each term, as c*R^r*rest (see _term), adds into `acc`/2^shift as c*rest at
+    offset r, a single int when rest is 1.
+    """
+    # runs of terms (sign, terms, span) from right to left; span is the innermost
+    # one on the spine, which an error without a span of its own takes
+    runs, span, lone = [], None, False
+    while True:
+        cls = e.__class__
+        if cls is Sub:
+            span = span if e.span is None else e.span
+            runs.append((-1, (e.right,), span))
+            e = e.left
+        elif cls is Add:
+            span = span if e.span is None else e.span
+            first = e.items[0]
+            if first.__class__ is Add or first.__class__ is Sub:
+                runs.append((1, e.items[1:], span))
+                e = first
+            else:
+                runs.append((1, e.items, span))
+                break
+        else:  # the first term, or all of e when e is a product
+            lone = not runs
+            runs.append((1, (e,), span))
+            break
+    acc, shift = [], 0
+    for sign, terms, span in reversed(runs):
+        for term in terms:
+            try:
+                if term.__class__ is Mul:
+                    c, r, rest = _term(term.items)
+                elif term.__class__ in _MONOMIAL_NODES and (mono := _monomial(term)):
+                    (c, r), rest = mono, None
+                else:
+                    c, r, rest = 1, 0, _eval(term)
+            except MorphError as exc:
+                if getattr(exc, "span", None) is None:
+                    exc.span = span if term.span is None else term.span
+                raise
+            if rest is None:
+                if c:
+                    if len(acc) <= r:
+                        acc += [0] * (r + 1 - len(acc))
+                    acc[r] += sign * c << shift
+            elif lone and c == 1 and not r and rest.__class__ is MorphPoly:
+                return rest  # a product, never a catalog call's own value
+            elif c and rest._ints:  # r is unchecked when the term is zero
+                shift = _add_scaled(acc, shift, sign * c, rest, r)
+    return _normalised(acc, shift)

@@ -156,6 +156,26 @@ def _normalised(ints, shift) -> "MorphPoly":
     return q
 
 
+def _add_scaled(ints, shift, c, q, offset) -> int:
+    """Add c * R^offset * q into the quantity ints / 2^shift, a list it extends; the new shift."""
+    t, s = q._ints, q._shift
+    if s > shift:
+        ints[:] = [x << (s - shift) for x in ints]
+        shift = s
+    c <<= shift - s
+    if c != 1:
+        t = [*map(c.__mul__, t)]
+    end = offset + len(t)
+    if len(ints) <= offset:
+        ints += [0] * (offset - len(ints))
+        ints += t
+    else:
+        if len(ints) < end:
+            ints += [0] * (end - len(ints))
+        ints[offset:end] = map(add, ints[offset:end], t)
+    return shift
+
+
 def _view_bits(ints) -> int:
     """A bound on the bits of the halfline ints of sum(ints[i] * R^i), all d + 1 of them.
 

@@ -7,15 +7,20 @@
   normal form;
 - `_Parser` and `oracle_parse`: the recursive-descent parser with one method
   per grammar rule (expr, term, factor, atom), four frames per bracket level,
-  kept to check `lang.parse` against.
+  kept to check `lang.parse` against;
+- `oracle_eval`: the tree walk that builds a quantity for every node and
+  folds each sum and product from its first operand, kept to check
+  `lang.eval_expr` against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import add, mul
 
-from morphcalc.catalog import ENTRY_IDS
+from morphcalc.catalog import ENTRY_IDS, catalog_quantity
 from morphcalc.lang import (
     Add,
     Bracket,
@@ -33,7 +38,7 @@ from morphcalc.lang import (
     _nat,
     _tokenize,
 )
-from morphcalc.quantity import MorphPoly, _halfline_ints
+from morphcalc.quantity import MorphError, MorphPoly, _halfline_ints, div_exact
 
 
 # -- quantity -------------------------------------------------------------
@@ -237,3 +242,38 @@ def oracle_parse(source: str):
     except RecursionError:
         at = parser.tokens[min(parser.index, len(parser.tokens) - 1)][2]
         raise ExprSyntaxError("expression nested too deeply", at) from None
+
+
+def oracle_eval(e):
+    """`lang.eval_expr` as the bottom-up tree walk reads it: one quantity per node."""
+    try:
+        return _oracle_eval(e)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", e.span[0] if e.span else 0) from None
+
+
+def _oracle_eval(e):
+    try:
+        if isinstance(e, Nat):
+            return MorphPoly.constant(e.value)
+        if isinstance(e, Sym):
+            return _SYMBOLS[e.name]
+        if isinstance(e, CatalogCall):
+            return catalog_quantity(e.id, e.params)
+        if isinstance(e, Add):
+            return reduce(add, map(_oracle_eval, e.items))
+        if isinstance(e, Sub):
+            return _oracle_eval(e.left) - _oracle_eval(e.right)
+        if isinstance(e, Mul):
+            return reduce(mul, map(_oracle_eval, e.items))
+        if isinstance(e, Div):
+            return div_exact(_oracle_eval(e.num), _oracle_eval(e.den))
+        if isinstance(e, Pow):
+            return _oracle_eval(e.base) ** e.exponent
+        if isinstance(e, Bracket):
+            return _oracle_eval(e.child)
+    except MorphError as exc:
+        if getattr(exc, "span", None) is None:
+            exc.span = e.span
+        raise
+    raise TypeError(f"not an expression node: {e!r}")

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,10 @@ from morphcalc.lang import (
     parse,
     print_expr,
 )
-from morphcalc.quantity import MorphError, MorphPoly, NonZeroRemainder
+from morphcalc.quantity import SIZE_BUDGET, MorphError, MorphPoly, NonZeroRemainder, render
 
-from oracles import oracle_parse
+from oracles import oracle_eval, oracle_parse
+from test_corpus_cli import _SOURCES
 
 R = MorphPoly.line()
 P = MorphPoly.halfline()
@@ -183,7 +185,7 @@ def test_generated_print_parse_round_trip(e):
 
 
 def test_print_expr_deep_nesting_is_a_syntax_error():
-    e = parse("R" + "-0" * 3000)
+    e = parse("R" + "/1" * 3000)
     with pytest.raises(ExprSyntaxError, match="expression nested too deeply"):
         print_expr(e)
 
@@ -234,6 +236,33 @@ def test_long_sums_and_products_parse_in_linear_time():
         assert time.monotonic() - t0 < 2
         assert len(e.items) == n + 1
         assert eval_expr(e) == value
+
+
+def test_printed_polynomials_evaluate_in_linear_time():
+    q = catalog_quantity("S", (20000,))
+    text = render(q)
+    t0 = time.monotonic()
+    assert eval_expr(parse(text)) == q
+    assert time.monotonic() - t0 < 2
+    for entry in [("GL", (80,)), ("SL", (100,))]:  # 1,484 and 2,477 minus signs
+        q = catalog_quantity(*entry)
+        e = parse(render(q))
+        assert eval_expr(e) == q and print_expr(e) == render(q)
+    e = parse("R" + "-0" * 3000)
+    assert eval_expr(e) == R and print_expr(e) == "R" + " - 0" * 3000
+
+
+def test_a_zero_term_builds_none_of_its_powers():
+    # each power is within the size budget and the term is 0, so no size check
+    # bounds the sum of their exponents
+    e = parse("0*R^4194303*H^1048575*S(3) - (R-R)*R^4194303*C^2097151*S(3)*R"
+              " + S(3)*0*R^4194303*H^1048575*S(3) + 1")
+    tracemalloc.start()
+    try:
+        assert eval_expr(e) == 1
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_nodes_compare_and_hash_by_class_and_fields_but_not_span():
@@ -377,3 +406,69 @@ def test_a_catalog_call_node_fails_as_catalog_quantity_does(node, error, message
         eval_expr(node)
     assert str(evaluated.value) == str(direct.value)
     assert message is None or str(direct.value) == message
+
+
+# -- the evaluator against the tree walk it replaced ---------------------------
+
+def _value(evaluate, source):
+    """What an evaluator makes of `source`: its value, or its error with message and span."""
+    try:
+        e = parse(source)
+    except MorphError:
+        return None
+    try:
+        q = evaluate(e)
+    except MorphError as exc:
+        return type(exc), str(exc), exc.span
+    return type(q), q._ints, q._shift
+
+
+# coefficients and exponents at the edge of SIZE_BUDGET (2^22), drawn one time in
+# eight: 2^(2^22) is a (2^22 + 1)-bit integer just within it, 2^(2^22 + 1) just
+# over; Rp*2^1398101*Rp is just within it once the 2 of Rp's shift cancels;
+# R^(2^22), C^(2^21) and H^(2^20) are just over it, and so is Rp^2048.  The
+# powers just within it build lists of millions of ints, so only the examples
+# below hold them.
+_SMALL = st.integers(0, 5)
+_COEFFICIENTS = st.one_of(*[_SMALL.map(str)] * 7, st.sampled_from(
+    ["2^4194304", "2^4194305", "4^2097151", "4^2097152", "2^1398101", "12", "0^0"]))
+
+
+def _power_of(symbol, degree):
+    n = st.one_of(*[_SMALL] * 7, st.sampled_from([2048, SIZE_BUDGET // degree]))
+    return n.map(lambda n: symbol if n == 1 else f"{symbol}^{n}")
+
+
+def _terms(inner):
+    factor = st.one_of(
+        _COEFFICIENTS, _power_of("R", 1), _power_of("C", 2), _power_of("H", 4),
+        st.integers(0, 4).map(lambda n: f"Rp^{n}"), st.just("Rp^2048"),
+        st.sampled_from(["S(3)", "G(5,2)", "RP(4)", "CP(2)", "S(0)", "S(4194304)", "G(9,99)"]),
+        inner.map(lambda sub: f"({sub})"))
+    divisor = st.sampled_from(["", "", "", "", "", "/2", "/Rp", "/(R+1)", "/(R-R)", "/S(1)"])
+    return st.tuples(st.lists(factor, min_size=1, max_size=5).map("*".join), divisor).map("".join)
+
+
+def _signed_sums(inner):
+    signed = st.tuples(st.sampled_from([" + ", " - "]), _terms(inner)).map("".join)
+    return st.tuples(_terms(inner), st.lists(signed, max_size=7).map("".join)).map("".join)
+
+
+_MONOMIAL_SUMS = st.recursive(_signed_sums(st.just("R - 1")), _signed_sums, max_leaves=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SOURCES, _MONOMIAL_SUMS))
+@example("3*R^3 + 2*R^2 + R + 1")
+@example("3*R^99999999999")
+@example("2*Rp^2*R + Rp - 2*R^3*C*H^2")
+@example("R^2097152*R^2097152 - 1")
+@example("2^4194303*Rp - 1")
+@example("Rp*2^1398101*Rp + Rp*2^1398102*Rp")
+@example("Rp*R*Rp*2^1048576")
+@example("1*S(3)")
+@example("0*S(999999999) + S(999999999)*0")
+@example("R^2097151*R^2097152*1 - 3*R^2097151*C^0")
+@example("0*R^4194303*R^4194303*S(3) - (R-R)*R^2*R^4194303*R^4194303")
+def test_eval_agrees_with_the_oracle_evaluator(source):
+    assert _value(eval_expr, source) == _value(oracle_eval, source)
